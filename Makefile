@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
+.PHONY: all build vet test race fuzz-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
 
 all: vet build test
 
@@ -17,6 +17,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Short fuzz run of every internal/dtw fuzz target, 10 s each. go test
+# accepts one -fuzz target per invocation, so the targets run in turn.
+DTW_FUZZ_TARGETS := $(shell grep -ho '^func Fuzz[A-Za-z0-9_]*' internal/dtw/*_test.go | cut -c6-)
+
+fuzz-smoke:
+	@set -e; for f in $(DTW_FUZZ_TARGETS); do \
+		$(GO) test ./internal/dtw -run '^$$' -fuzz "^$$f$$" -fuzztime 10s; \
+	done
 
 # Paper-shape benchmarks (Tables 3-4, Figs 7-13).
 bench:

@@ -11,6 +11,7 @@
 package smiler_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -246,7 +247,7 @@ func BenchmarkAblationCompressedDTW(b *testing.B) {
 		scratch := dtw.NewCompressedScratch(8)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := dtw.DistanceCompressed(q, cseg, 8, scratch); err != nil {
+			if _, _, err := dtw.DistanceCompressedAbandon(q, cseg, 8, math.Inf(1), scratch); err != nil {
 				b.Fatal(err)
 			}
 		}

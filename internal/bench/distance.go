@@ -39,7 +39,8 @@ func RunDistanceMeasureAblation(c *Corpus, steps, k, d, h int) ([]DistanceRow, e
 		fn   tsdist.Func
 	}{
 		{"DTW", func(q, cc []float64) (float64, error) {
-			return dtw.DistanceCompressed(q, cc, rho, scratch)
+			dist, _, err := dtw.DistanceCompressedAbandon(q, cc, rho, math.Inf(1), scratch)
+			return dist, err
 		}},
 		{"Euclidean", tsdist.EuclideanFunc()},
 		{"LCSS", tsdist.LCSSFunc(0.5, rho)},

@@ -11,7 +11,8 @@ import (
 )
 
 func dtwDistance(q, c []float64, rho int) (float64, error) {
-	return dtw.DistanceCompressed(q, c, rho, nil)
+	dist, _, err := dtw.DistanceCompressedAbandon(q, c, rho, math.Inf(1), nil)
+	return dist, err
 }
 
 func posInf() float64 { return math.Inf(1) }

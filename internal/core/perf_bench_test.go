@@ -37,13 +37,21 @@ func newBenchPipeline(b *testing.B, workers int, factory PredictorFactory) *Pipe
 
 func newBenchPipelineShared(b *testing.B, workers int, factory PredictorFactory, shared bool) *Pipeline {
 	b.Helper()
+	pl := buildBenchPipeline(b, workers, factory, shared)
+	b.Cleanup(func() { pl.ix.Close() })
+	return pl
+}
+
+// buildBenchPipeline builds the pipeline over an 800-point history;
+// the caller owns (and closes) its index.
+func buildBenchPipeline(b *testing.B, workers int, factory PredictorFactory, shared bool) *Pipeline {
+	b.Helper()
 	dev := gpusim.MustNewDevice(gpusim.DefaultConfig())
 	p := index.DefaultParams()
 	ix, err := index.New(dev, benchHistory(800), p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { ix.Close() })
 	cfg := DefaultPipelineConfig()
 	cfg.Index = p
 	cfg.PredictWorkers = workers
@@ -53,6 +61,7 @@ func newBenchPipelineShared(b *testing.B, workers int, factory PredictorFactory,
 	}
 	pl, err := NewPipeline(ix, cfg)
 	if err != nil {
+		ix.Close()
 		b.Fatal(err)
 	}
 	return pl
@@ -130,23 +139,49 @@ func BenchmarkPredictMulti(b *testing.B) {
 	b.ReportMetric(predictSec/float64(b.N)*1e9, "predict-step-ns/op")
 }
 
+// observeBlock is how many Observes BenchmarkObserve runs on one
+// pipeline before rebuilding it.
+const observeBlock = 256
+
 // BenchmarkObserve measures the Observe path — self-adaptive reweight
 // of one matured prediction plus the incremental index advance — with
 // the reweight queue refilled outside the pipeline each iteration
 // (white-box) so every Observe pays the full auto-tuning cost.
+//
+// Every Observe appends to the index, and the advance cost grows with
+// history length. Left alone, a larger b.N would measure a longer
+// history, so ns/op would depend on b.N. The pipeline is therefore
+// rebuilt off the timer every observeBlock iterations, which keeps the
+// measured history between 800 and 800+observeBlock points.
 func BenchmarkObserve(b *testing.B) {
-	pl := newBenchPipeline(b, 0, func() Predictor { return NewAR() })
-	if _, err := pl.Predict(1); err != nil {
-		b.Fatal(err)
+	vals := benchHistory(observeBlock)
+	var (
+		pl    *Pipeline
+		preds []CellPrediction
+	)
+	reset := func() {
+		if pl != nil {
+			pl.ix.Close()
+		}
+		pl = buildBenchPipeline(b, 0, func() Predictor { return NewAR() }, false)
+		if _, err := pl.Predict(1); err != nil {
+			b.Fatal(err)
+		}
+		preds = pl.pending[0].preds
+		pl.pending = pl.pending[:0]
 	}
-	preds := pl.pending[0].preds
-	pl.pending = pl.pending[:0]
-	vals := benchHistory(256)
+	reset()
+	b.Cleanup(func() { pl.ix.Close() })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%observeBlock == 0 {
+			b.StopTimer()
+			reset()
+			b.StartTimer()
+		}
 		pl.pending = append(pl.pending, pendingUpdate{target: pl.ix.Len(), preds: preds})
-		if err := pl.Observe(vals[i%len(vals)]); err != nil {
+		if err := pl.Observe(vals[i%observeBlock]); err != nil {
 			b.Fatal(err)
 		}
 	}

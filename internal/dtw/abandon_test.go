@@ -16,9 +16,9 @@ func randWalkSeries(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// TestAbandonInfCutoffBitIdentical: with cutoff=+Inf the abandoning
-// variant must return exactly DistanceCompressed's value and process
-// every column.
+// TestAbandonInfCutoffBitIdentical: with cutoff=+Inf the kernel must
+// return exactly the full-matrix reference's value and process every
+// column.
 func TestAbandonInfCutoffBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -26,16 +26,16 @@ func TestAbandonInfCutoffBitIdentical(t *testing.T) {
 		rho := rng.Intn(12)
 		q := randWalkSeries(rng, d)
 		c := randWalkSeries(rng, d)
-		want, err := DistanceCompressed(q, c, rho, nil)
+		want, err := Distance(q, c, rho)
 		if err != nil {
-			t.Fatalf("DistanceCompressed: %v", err)
+			t.Fatalf("Distance: %v", err)
 		}
 		got, cols, err := DistanceCompressedAbandon(q, c, rho, math.Inf(1), nil)
 		if err != nil {
 			t.Fatalf("DistanceCompressedAbandon: %v", err)
 		}
 		if got != want {
-			t.Fatalf("trial %d (d=%d rho=%d): abandon %v != plain %v", trial, d, rho, got, want)
+			t.Fatalf("trial %d (d=%d rho=%d): abandon %v != reference %v", trial, d, rho, got, want)
 		}
 		if cols != d {
 			t.Fatalf("trial %d: processed %d cols, want %d", trial, cols, d)
@@ -45,8 +45,7 @@ func TestAbandonInfCutoffBitIdentical(t *testing.T) {
 
 // TestAbandonSoundness: whenever the variant abandons, the true
 // distance really exceeds the cutoff; whenever it completes, the value
-// matches the plain variant bit-for-bit and is ≤ cutoff or the final
-// column happened to stay under it.
+// matches the full-matrix reference bit-for-bit.
 func TestAbandonSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -54,9 +53,9 @@ func TestAbandonSoundness(t *testing.T) {
 		rho := rng.Intn(10)
 		q := randWalkSeries(rng, d)
 		c := randWalkSeries(rng, d)
-		truth, err := DistanceCompressed(q, c, rho, nil)
+		truth, err := Distance(q, c, rho)
 		if err != nil {
-			t.Fatalf("DistanceCompressed: %v", err)
+			t.Fatalf("Distance: %v", err)
 		}
 		// Cutoffs below, at, and above the true distance.
 		for _, cutoff := range []float64{truth * 0.25, truth, truth * 4} {
@@ -88,7 +87,7 @@ func TestAbandonTieSurvives(t *testing.T) {
 		rho := 1 + rng.Intn(8)
 		q := randWalkSeries(rng, d)
 		c := randWalkSeries(rng, d)
-		truth, _ := DistanceCompressed(q, c, rho, nil)
+		truth, _ := Distance(q, c, rho)
 		got, cols, err := DistanceCompressedAbandon(q, c, rho, truth, nil)
 		if err != nil {
 			t.Fatalf("abandon: %v", err)
@@ -100,7 +99,7 @@ func TestAbandonTieSurvives(t *testing.T) {
 	}
 }
 
-// TestAbandonErrors mirrors DistanceCompressed's input validation.
+// TestAbandonErrors mirrors Distance's input validation.
 func TestAbandonErrors(t *testing.T) {
 	if _, _, err := DistanceCompressedAbandon(nil, nil, 2, 1, nil); err == nil {
 		t.Fatal("empty inputs should error")

@@ -31,8 +31,8 @@ func dist(a, b float64) float64 {
 // Distance computes the DTW distance between equal-length series q and
 // c under a Sakoe-Chiba band of half-width rho, using a full (d+1)²
 // dynamic-programming matrix. It is the readable reference
-// implementation; DistanceCompressed is the memory-compressed variant
-// the simulated GPU kernels run.
+// implementation; DistanceCompressedAbandon is the memory-compressed
+// variant the simulated GPU kernels run.
 func Distance(q, c []float64, rho int) (float64, error) {
 	d := len(q)
 	if d == 0 || d != len(c) {
@@ -73,80 +73,24 @@ func Distance(q, c []float64, rho int) (float64, error) {
 	return g[d*n+d], nil
 }
 
-// DistanceCompressed computes the same banded DTW distance with the
-// paper's compressed warping matrix (Algorithm 2): a rolling buffer of
-// 2 columns × (2ρ+2) band cells indexed by modulus, sized to fit a
-// GPU block's shared memory. scratch may be nil or a buffer from
-// NewCompressedScratch to avoid per-call allocation.
-func DistanceCompressed(q, c []float64, rho int, scratch []float64) (float64, error) {
-	d := len(q)
-	if d == 0 || d != len(c) {
-		return 0, fmt.Errorf("%w: |q|=%d |c|=%d", ErrLength, len(q), len(c))
-	}
-	if rho < 0 {
-		return 0, fmt.Errorf("dtw: negative warping width %d", rho)
-	}
-	m := 2*rho + 2 // band rows kept live per column
-	if len(scratch) < 2*m {
-		scratch = make([]float64, 2*m)
-	}
-	g := scratch[:2*m]
-	inf := math.Inf(1)
-	// Column j=0 boundary: γ(0,0)=0, γ(i,0)=∞ for i>0.
-	for i := 0; i < m; i++ {
-		g[i*2] = inf
-	}
-	g[0] = 0
-	// cell(i, j) maps matrix row i (0..d), column parity j to scratch.
-	cell := func(i, j int) *float64 {
-		ii := i % m
-		if ii < 0 {
-			ii += m
-		}
-		return &g[ii*2+(j&1)]
-	}
-	for j := 1; j <= d; j++ {
-		// Invalidate the two cells that leave the band as the column
-		// advances (Algorithm 2 lines 7–8).
-		*cell(j-rho-1, j) = inf
-		*cell(j+rho, j-1) = inf
-		if j-rho-1 < 0 {
-			// Row 0 is still inside the retained band window but
-			// γ(0,j) = ∞ for every j ≥ 1; without this the slot would
-			// hold the stale γ(0,0) = 0 (or γ(0,j-2)) start cell.
-			*cell(0, j) = inf
-		}
-		ilo, ihi := j-rho, j+rho
-		if ilo < 1 {
-			ilo = 1
-		}
-		if ihi > d {
-			ihi = d
-		}
-		for i := ilo; i <= ihi; i++ {
-			best := *cell(i-1, j)
-			if v := *cell(i, j-1); v < best {
-				best = v
-			}
-			if v := *cell(i-1, j-1); v < best {
-				best = v
-			}
-			*cell(i, j) = dist(q[i-1], c[j-1]) + best
-		}
-	}
-	return *cell(d, d), nil
-}
-
-// DistanceCompressedAbandon is DistanceCompressed with an early-
-// abandoning cutoff: every warping path visits every column of the
-// warping matrix and path costs only grow along a path, so once the
-// minimum over a column's band cells exceeds cutoff no path can finish
-// at or below it. The function then abandons, reporting (+Inf, cols,
-// nil) with cols the number of columns actually processed — callers
-// charge cost models for work done, not work skipped. Abandonment
-// fires only on a strictly greater column minimum, so candidates whose
-// true distance equals the cutoff are fully computed. With cutoff =
-// +Inf the result is identical to DistanceCompressed.
+// DistanceCompressedAbandon computes the banded DTW distance with the
+// paper's compressed warping matrix (Algorithm 2): two rolling columns
+// of 2ρ+2 band cells, sized to fit a GPU block's shared memory, with an
+// early-abandoning cutoff. It is the package's only banded kernel; the
+// full-matrix Distance is its reference.
+//
+// Every warping path visits every column of the warping matrix and
+// path costs only grow along a path, so once the minimum over a
+// column's band cells exceeds cutoff no path can finish at or below
+// it. The function then abandons, reporting (+Inf, cols, nil) with cols
+// the number of columns actually processed — callers charge cost
+// models for work done, not work skipped. Abandonment fires only on a
+// strictly greater column minimum, so candidates whose true distance
+// equals the cutoff are fully computed. With cutoff = +Inf it never
+// abandons and returns (distance, len(q), nil).
+//
+// scratch may be nil or a buffer from NewCompressedScratch (or
+// GetCompressedScratch) to avoid per-call allocation.
 func DistanceCompressedAbandon(q, c []float64, rho int, cutoff float64, scratch []float64) (float64, int, error) {
 	d := len(q)
 	if d == 0 || d != len(c) {
@@ -159,43 +103,47 @@ func DistanceCompressedAbandon(q, c []float64, rho int, cutoff float64, scratch 
 	if len(scratch) < 2*m {
 		scratch = make([]float64, 2*m)
 	}
-	g := scratch[:2*m]
 	inf := math.Inf(1)
-	for i := 0; i < m; i++ {
-		g[i*2] = inf
+	g := scratch[:2*m]
+	for i := range g {
+		g[i] = inf
 	}
-	g[0] = 0
-	cell := func(i, j int) *float64 {
-		ii := i % m
-		if ii < 0 {
-			ii += m
-		}
-		return &g[ii*2+(j&1)]
-	}
+	// Cell (i, j) of column j lives at band offset k = i − (j − ρ), so
+	// diag = γ(i−1, j−1) is prev[k], left = γ(i, j−1) is prev[k+1] and
+	// up = γ(i−1, j) is the cell just computed. Column 0 holds only
+	// γ(0,0) = 0 at offset ρ. Cells no column writes read as the
+	// out-of-band +Inf: offset 2ρ+1, and for j ≥ 2 the row-1 diagonal
+	// γ(0, j−1), which sits below every earlier column's band.
+	prev, cur := g[:m], g[m:]
+	prev[rho] = 0
 	for j := 1; j <= d; j++ {
-		*cell(j-rho-1, j) = inf
-		*cell(j+rho, j-1) = inf
-		if j-rho-1 < 0 {
-			*cell(0, j) = inf
+		klo, khi := 0, 2*rho // clamp the band to rows 1..d
+		if lo := rho - j + 1; lo > klo {
+			klo = lo
 		}
-		ilo, ihi := j-rho, j+rho
-		if ilo < 1 {
-			ilo = 1
+		if hi := d - j + rho; hi < khi {
+			khi = hi
 		}
-		if ihi > d {
-			ihi = d
-		}
-		colMin := inf
-		for i := ilo; i <= ihi; i++ {
-			best := *cell(i-1, j)
-			if v := *cell(i, j-1); v < best {
-				best = v
+		i0 := j - rho - 1 + klo // q index of the first band row
+		qs := q[i0 : i0+khi-klo+1]
+		// Reslicing to len(qs) lets the compiler drop the inner loop's
+		// bounds checks.
+		ls := prev[klo+1 : khi+2][:len(qs)] // left neighbours
+		cs := cur[klo : khi+1][:len(qs)]
+		cj := c[j-1]
+		up, diag, colMin := inf, prev[klo], inf
+		for x, qi := range qs {
+			left := ls[x]
+			best := up
+			if left < best {
+				best = left
 			}
-			if v := *cell(i-1, j-1); v < best {
-				best = v
+			if diag < best {
+				best = diag
 			}
-			v := dist(q[i-1], c[j-1]) + best
-			*cell(i, j) = v
+			v := dist(qi, cj) + best
+			cs[x] = v
+			up, diag = v, left
 			if v < colMin {
 				colMin = v
 			}
@@ -203,16 +151,17 @@ func DistanceCompressedAbandon(q, c []float64, rho int, cutoff float64, scratch 
 		if colMin > cutoff {
 			return inf, j, nil
 		}
+		prev, cur = cur, prev
 	}
-	return *cell(d, d), d, nil
+	return prev[rho], d, nil
 }
 
-// CompressedScratchLen returns the scratch length DistanceCompressed
-// needs for warping width rho.
+// CompressedScratchLen returns the scratch length
+// DistanceCompressedAbandon needs for warping width rho.
 func CompressedScratchLen(rho int) int { return 2 * (2*rho + 2) }
 
 // NewCompressedScratch allocates a reusable scratch buffer for
-// DistanceCompressed.
+// DistanceCompressedAbandon.
 func NewCompressedScratch(rho int) []float64 {
 	return make([]float64, CompressedScratchLen(rho))
 }
@@ -226,55 +175,6 @@ func GetCompressedScratch(rho int) []float64 {
 
 // PutCompressedScratch recycles a scratch from GetCompressedScratch.
 func PutCompressedScratch(s []float64) { memsys.PutFloats(s) }
-
-// DistanceEarlyAbandon computes banded DTW but abandons and reports
-// (∞, false) as soon as every cell in the current anti-diagonal band
-// column exceeds threshold — the classic UCR-suite pruning used by the
-// FastCPUScan baseline.
-func DistanceEarlyAbandon(q, c []float64, rho int, threshold float64) (float64, bool, error) {
-	d := len(q)
-	if d == 0 || d != len(c) {
-		return 0, false, fmt.Errorf("%w: |q|=%d |c|=%d", ErrLength, len(q), len(c))
-	}
-	inf := math.Inf(1)
-	prev := make([]float64, d+1)
-	cur := make([]float64, d+1)
-	for i := range prev {
-		prev[i] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= d; i++ {
-		for j := range cur {
-			cur[j] = inf
-		}
-		jlo, jhi := i-rho, i+rho
-		if jlo < 1 {
-			jlo = 1
-		}
-		if jhi > d {
-			jhi = d
-		}
-		rowMin := inf
-		for j := jlo; j <= jhi; j++ {
-			best := prev[j]
-			if v := cur[j-1]; v < best {
-				best = v
-			}
-			if v := prev[j-1]; v < best {
-				best = v
-			}
-			cur[j] = dist(q[i-1], c[j-1]) + best
-			if cur[j] < rowMin {
-				rowMin = cur[j]
-			}
-		}
-		if rowMin > threshold {
-			return inf, false, nil
-		}
-		prev, cur = cur, prev
-	}
-	return prev[d], true, nil
-}
 
 // Envelope holds the running upper and lower envelopes of a series
 // under warping width rho (Definition B.1): U_i = max c_{i±ρ},

@@ -1,8 +1,10 @@
 package dtw
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -65,14 +67,11 @@ func TestDistanceErrors(t *testing.T) {
 	if _, err := Distance([]float64{1}, []float64{1}, -1); err == nil {
 		t.Fatal("expected negative rho error")
 	}
-	if _, err := DistanceCompressed([]float64{1}, []float64{1, 2}, 1, nil); err == nil {
+	if _, _, err := DistanceCompressedAbandon([]float64{1}, []float64{1, 2}, 1, math.Inf(1), nil); err == nil {
 		t.Fatal("expected length error (compressed)")
 	}
-	if _, err := DistanceCompressed([]float64{1}, []float64{1}, -1, nil); err == nil {
+	if _, _, err := DistanceCompressedAbandon([]float64{1}, []float64{1}, -1, math.Inf(1), nil); err == nil {
 		t.Fatal("expected negative rho error (compressed)")
-	}
-	if _, _, err := DistanceEarlyAbandon([]float64{1}, nil, 1, 1); err == nil {
-		t.Fatal("expected length error (early abandon)")
 	}
 }
 
@@ -87,11 +86,11 @@ func TestDistanceCompressedMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DistanceCompressed(q, c, rho, nil)
+		got, _, err := DistanceCompressedAbandon(q, c, rho, math.Inf(1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-want) > 1e-9*(1+want) {
+		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d (n=%d ρ=%d): compressed %v != reference %v", trial, n, rho, got, want)
 		}
 	}
@@ -104,11 +103,11 @@ func TestDistanceCompressedScratchReuse(t *testing.T) {
 	c := randSeries(rng, 20)
 	want, _ := Distance(q, c, 4)
 	for i := 0; i < 3; i++ { // reuse must not leak state across calls
-		got, err := DistanceCompressed(q, c, 4, scratch)
+		got, _, err := DistanceCompressedAbandon(q, c, 4, math.Inf(1), scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-want) > 1e-9 {
+		if got != want {
 			t.Fatalf("call %d: %v != %v", i, got, want)
 		}
 	}
@@ -203,25 +202,25 @@ func TestDistanceEarlyAbandon(t *testing.T) {
 	c := randSeries(rng, 30)
 	d, _ := Distance(q, c, 4)
 
-	got, ok, err := DistanceEarlyAbandon(q, c, 4, d+1)
-	if err != nil || !ok {
-		t.Fatalf("should complete under loose threshold: ok=%v err=%v", ok, err)
+	got, cols, err := DistanceCompressedAbandon(q, c, 4, d+1, nil)
+	if err != nil || cols != len(q) {
+		t.Fatalf("should complete under loose threshold: cols=%d err=%v", cols, err)
 	}
-	if math.Abs(got-d) > 1e-9 {
+	if got != d {
 		t.Fatalf("early-abandon distance %v != %v", got, d)
 	}
 
-	_, ok, err = DistanceEarlyAbandon(q, c, 4, d/1000)
+	got, cols, err = DistanceCompressedAbandon(q, c, 4, d/1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok && d > 0 {
-		t.Fatal("should abandon under tight threshold")
+	if d > 0 && (!math.IsInf(got, 1) || cols == len(q)) {
+		t.Fatalf("should abandon under tight threshold: got %v after %d cols", got, cols)
 	}
 }
 
-// Property: early-abandon with an always-sufficient threshold agrees
-// with the reference implementation.
+// Property: the kernel with an always-sufficient cutoff completes and
+// agrees with the reference implementation.
 func TestQuickEarlyAbandonAgreesWhenNotAbandoned(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -233,8 +232,8 @@ func TestQuickEarlyAbandonAgreesWhenNotAbandoned(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, ok, err := DistanceEarlyAbandon(q, c, rho, want*2+1)
-		return err == nil && ok && math.Abs(got-want) <= 1e-9*(1+want)
+		got, cols, err := DistanceCompressedAbandon(q, c, rho, want*2+1, nil)
+		return err == nil && cols == n && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -278,15 +277,45 @@ func BenchmarkDistanceFull64(b *testing.B) {
 	}
 }
 
-func BenchmarkDistanceCompressed64(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	q := randSeries(rng, 64)
-	c := randSeries(rng, 64)
-	scratch := NewCompressedScratch(8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DistanceCompressed(q, c, 8, scratch); err != nil {
-			b.Fatal(err)
+// BenchmarkDistanceCompressedAbandon times the banded kernel at the
+// default ELV lengths and ρ=8, with no cutoff (inf) and with the cutoff
+// at the median true distance of the candidate set (tau), where about
+// half the candidates abandon. One op is a sweep over a fixed set of
+// benchCands candidates, so ns/op does not depend on b.N; ns/call is
+// ns/op divided by benchCands.
+func BenchmarkDistanceCompressedAbandon(b *testing.B) {
+	const rho, benchCands = 8, 64
+	for _, d := range []int{32, 64, 96} {
+		rng := rand.New(rand.NewSource(int64(12 + d)))
+		q := randSeries(rng, d)
+		cands := make([][]float64, benchCands)
+		truth := make([]float64, benchCands)
+		for i := range cands {
+			cands[i] = randSeries(rng, d)
+			v, _, err := DistanceCompressedAbandon(q, cands[i], rho, math.Inf(1), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			truth[i] = v
+		}
+		sort.Float64s(truth)
+		for _, cut := range []struct {
+			name   string
+			cutoff float64
+		}{{"inf", math.Inf(1)}, {"tau", truth[benchCands/2]}} {
+			b.Run(fmt.Sprintf("d%d/%s", d, cut.name), func(b *testing.B) {
+				scratch := NewCompressedScratch(rho)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, c := range cands {
+						if _, _, err := DistanceCompressedAbandon(q, c, rho, cut.cutoff, scratch); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchCands), "ns/call")
+			})
 		}
 	}
 }

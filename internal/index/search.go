@@ -304,7 +304,7 @@ func (ix *Index) threshold(d int, query []float64, lbs []float64, k int) (float6
 		scratch := dtw.GetCompressedScratch(rho)
 		defer dtw.PutCompressedScratch(scratch)
 		for _, t := range seeds {
-			dist, err := dtw.DistanceCompressed(query, ix.c[t:t+d], rho, scratch)
+			dist, _, err := dtw.DistanceCompressedAbandon(query, ix.c[t:t+d], rho, math.Inf(1), scratch)
 			if err != nil {
 				return err
 			}

@@ -145,7 +145,7 @@ func gpuScan(dev *gpusim.Device, c, query []float64, rho, k, h int) ([]Result, e
 		scratch := dtw.GetCompressedScratch(rho)
 		defer dtw.PutCompressedScratch(scratch)
 		for t := lo; t < hi; t++ {
-			dist, err := dtw.DistanceCompressed(query, c[t:t+d], rho, scratch)
+			dist, _, err := dtw.DistanceCompressedAbandon(query, c[t:t+d], rho, math.Inf(1), scratch)
 			if err != nil {
 				return err
 			}
@@ -199,6 +199,8 @@ func FastCPUScan(c, query []float64, rho, k, h int) ([]Result, CPUScanStats, err
 	// lookup instead of an O(d·ρ) recomputation (standard trick; the
 	// wider context keeps it a valid lower bound).
 	cEnv := dtw.NewEnvelope(c, rho)
+	scratch := dtw.GetCompressedScratch(rho)
+	defer dtw.PutCompressedScratch(scratch)
 
 	// Running top-k as a max-heap encoded in a sorted slice (k is
 	// small: ≤128 in all experiments).
@@ -255,11 +257,15 @@ func FastCPUScan(c, query []float64, rho, k, h int) ([]Result, CPUScanStats, err
 			st.PrunedByLBEC++
 			continue
 		}
-		dist, done, err := dtw.DistanceEarlyAbandon(query, seg, rho, tau)
+		// (seg, query) makes the kernel's columns walk the query, so
+		// it abandons on the same row minima as the classic row-major
+		// UCR loop. A completed +Inf distance under a finite τ counts
+		// as abandoned; it could not enter the top-k either way.
+		dist, _, err := dtw.DistanceCompressedAbandon(seg, query, rho, tau, scratch)
 		if err != nil {
 			return nil, st, err
 		}
-		if !done {
+		if math.IsInf(dist, 1) && !math.IsInf(tau, 1) {
 			st.AbandonedEarly++
 			continue
 		}

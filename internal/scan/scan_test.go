@@ -1,6 +1,8 @@
 package scan
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -330,5 +332,72 @@ func TestQuickParallelScanAgrees(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fastCPUScanParity pins FastCPUScan's output and pruning counters on
+// fixed seeded corpora. The hashes and counters were recorded from the
+// row-major early-abandon kernel the scan used before it moved onto
+// dtw.DistanceCompressedAbandon; the swap must not move any of them.
+var fastCPUScanParity = []struct {
+	seed            int64
+	n, d, rho, k, h int
+	ownQuery        bool // query is the corpus tail, else a fresh walk
+	results         int
+	hash            uint64 // FNV-64a over "T:dist-bits;" per result
+	stats           CPUScanStats
+}{
+	{101, 3000, 32, 3, 8, 1, true, 8, 0x87ef3b6903c949d4, CPUScanStats{Candidates: 2968, PrunedByLBKim: 1922, PrunedByLBEQ: 883, PrunedByLBEC: 9, AbandonedEarly: 66, FullDTW: 88}},
+	{102, 3000, 64, 6, 16, 4, true, 16, 0xe6b3637ece8e7c1a, CPUScanStats{Candidates: 2933, PrunedByLBKim: 0, PrunedByLBEQ: 1558, PrunedByLBEC: 87, AbandonedEarly: 406, FullDTW: 882}},
+	{103, 4000, 96, 9, 32, 1, false, 32, 0x7eeda0e07c47f3fe, CPUScanStats{Candidates: 3904, PrunedByLBKim: 1449, PrunedByLBEQ: 2201, PrunedByLBEC: 4, AbandonedEarly: 176, FullDTW: 74}},
+	{104, 2000, 48, 0, 4, 2, false, 4, 0x2de33c2a3a0a56cb, CPUScanStats{Candidates: 1951, PrunedByLBKim: 1666, PrunedByLBEQ: 266, PrunedByLBEC: 0, AbandonedEarly: 0, FullDTW: 19}},
+	{105, 1500, 24, 30, 10, 1, true, 10, 0x7e1dd10d75563960, CPUScanStats{Candidates: 1476, PrunedByLBKim: 339, PrunedByLBEQ: 653, PrunedByLBEC: 18, AbandonedEarly: 157, FullDTW: 309}},
+	{106, 2500, 128, 12, 64, 8, false, 64, 0xcf2b5d1f854773f5, CPUScanStats{Candidates: 2365, PrunedByLBKim: 22, PrunedByLBEQ: 1719, PrunedByLBEC: 16, AbandonedEarly: 207, FullDTW: 401}},
+}
+
+func parityInputs(seed int64, n, d int, ownQuery bool) (c, q []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	c = randwalk(rng, n)
+	q = c[len(c)-d:]
+	if !ownQuery {
+		q = randwalk(rng, d)
+	}
+	return c, q
+}
+
+func TestFastCPUScanParity(t *testing.T) {
+	for _, tc := range fastCPUScanParity {
+		c, q := parityInputs(tc.seed, tc.n, tc.d, tc.ownQuery)
+		res, st, err := FastCPUScan(c, q, tc.rho, tc.k, tc.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := fnv.New64a()
+		for _, r := range res {
+			fmt.Fprintf(hs, "%d:%x;", r.T, math.Float64bits(r.Dist))
+		}
+		if len(res) != tc.results || hs.Sum64() != tc.hash {
+			t.Errorf("seed %d: %d results hash %#x, want %d hash %#x", tc.seed, len(res), hs.Sum64(), tc.results, tc.hash)
+		}
+		if st != tc.stats {
+			t.Errorf("seed %d: stats %+v, want %+v", tc.seed, st, tc.stats)
+		}
+	}
+}
+
+// TestFastCPUScanAllocsPerCall: the DTW stage reuses one pooled
+// scratch for the whole scan, so allocations stay a small constant
+// (envelopes and the top-k slice) however many candidates reach DTW.
+func TestFastCPUScanAllocsPerCall(t *testing.T) {
+	tc := fastCPUScanParity[1] // 1,288 candidates reach DTW
+	c, q := parityInputs(tc.seed, tc.n, tc.d, tc.ownQuery)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := FastCPUScan(c, q, tc.rho, tc.k, tc.h); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per scan", allocs)
+	if allocs > 16 {
+		t.Fatalf("%.0f allocs per scan; the DTW stage allocates per candidate again", allocs)
 	}
 }

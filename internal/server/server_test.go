@@ -431,6 +431,21 @@ func TestPipelineStatsEndpoint(t *testing.T) {
 	if err := cl.ObserveBatch("p", []float64{50, 51, 52}); err != nil {
 		t.Fatal(err)
 	}
+	// Observes apply asynchronously, and each applied one changes the
+	// forecast cache key; wait until all three landed so the two
+	// forecasts below see the same history.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := cl.PipelineStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Totals.Processed == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("observations not applied: %+v", st.Totals)
+		}
+	}
 	// Identical forecasts: the second must be a coalescing-cache hit.
 	if _, err := cl.Forecast("p", 1); err != nil {
 		t.Fatal(err)
