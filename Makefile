@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
+.PHONY: all build vet fmt-check test race fuzz-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
 
 all: vet build test
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file is not gofmt-formatted (lists the offenders).
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -87,8 +91,8 @@ cluster-smoke-procs: build
 loader-smoke: build
 	./scripts/loader_smoke.sh
 
-# Anytime engine end to end: a deadline sweep over a -anytime
-# -learned-lb server — moderate deadline answers exactly with zero
+# Anytime engine end to end: a deadline sweep over an -anytime
+# server — moderate deadline answers exactly with zero
 # AR(1) fallbacks, aggressive deadline answers progressively with zero
 # errors, per-quality counters live on /metrics
 # (scripts/anytime_smoke.sh, docs/INDEX.md).

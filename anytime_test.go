@@ -3,11 +3,16 @@ package smiler
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"smiler/internal/timeseries"
 )
 
 // countdownCtx is a deterministic deadline: its Err flips to
@@ -48,9 +53,9 @@ func noisySeries(rng *rand.Rand, n int) []float64 {
 
 // TestAnytimeABBitIdentical is the headline safety claim of the
 // anytime engine at the public API: with no deadline, a system running
-// -anytime -learned-lb forecasts bit-identically to a plain one. The
-// learned model may reorder verification rounds but never changes what
-// a completed search — and hence the predictor — sees.
+// -anytime forecasts bit-identically to a plain one. Progressive rounds
+// change the order candidates are verified in, never what a completed
+// search — and hence the predictor — sees.
 func TestAnytimeABBitIdentical(t *testing.T) {
 	exact, err := New(smallConfig())
 	if err != nil {
@@ -59,7 +64,6 @@ func TestAnytimeABBitIdentical(t *testing.T) {
 	defer exact.Close()
 	anyCfg := smallConfig()
 	anyCfg.Anytime = true
-	anyCfg.LearnedLB = true
 	anySys, err := New(anyCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -120,15 +124,39 @@ func TestAnytimeABBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointLBModelSurvives: the learned lower-bound model rides
-// the checkpoint envelope — a restored system resumes with the trained
-// model (same observation count, forecasts bit-identical), and a
-// checkpoint written before the field existed restores to a fresh
-// model instead of failing.
-func TestCheckpointLBModelSurvives(t *testing.T) {
+// legacySensorCheckpoint and legacyModelState mirror the per-sensor
+// checkpoint layout of releases whose index carried a learned
+// lower-bound ordering layer: the same fields plus the model's state.
+type legacyModelState struct {
+	Version int
+	Counts  []float64
+	Ratios  []float64
+	Global  float64
+	N       uint64
+}
+
+type legacySensorCheckpoint struct {
+	ID         string
+	History    []float64
+	Normalized bool
+	Norm       timeseries.Stats
+	Cells      []cellCheckpoint
+	LBModel    *legacyModelState
+}
+
+type legacyCheckpoint struct {
+	Version  int
+	Sensors  []legacySensorCheckpoint
+	WALCover map[int]uint64
+}
+
+// TestCheckpointLegacyLBModelLoads: a checkpoint written with the old
+// layout, learned-model state populated, still loads — gob skips the
+// field the current layout lacks — and the restored system forecasts
+// bit-identically to one restored from a current checkpoint.
+func TestCheckpointLegacyLBModelLoads(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Anytime = true
-	cfg.LearnedLB = true
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +167,7 @@ func TestCheckpointLBModelSurvives(t *testing.T) {
 	if err := sys.AddSensor("a", all[:400]); err != nil {
 		t.Fatal(err)
 	}
-	for i := 400; i < 430; i++ {
+	for i := 400; i < 420; i++ {
 		if _, err := sys.Predict("a", 1); err != nil {
 			t.Fatal(err)
 		}
@@ -147,61 +175,60 @@ func TestCheckpointLBModelSurvives(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantForecast, err := sys.Predict("a", 1)
+	var cur bytes.Buffer
+	if err := sys.SaveTo(&cur); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := decodeCheckpoint(bytes.NewReader(cur.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Captured after the last Predict: that search trains the model too.
-	wantN := sys.sensors["a"].lbModel.N()
-	if wantN == 0 {
-		t.Fatal("model untrained after 30 verified searches")
+	legacy := legacyCheckpoint{Version: cp.Version, WALCover: cp.WALCover}
+	for _, sc := range cp.Sensors {
+		legacy.Sensors = append(legacy.Sensors, legacySensorCheckpoint{
+			ID: sc.ID, History: sc.History, Normalized: sc.Normalized, Norm: sc.Norm, Cells: sc.Cells,
+			LBModel: &legacyModelState{Version: 1, Counts: make([]float64, 64), Ratios: make([]float64, 64), Global: 1.7, N: 900},
+		})
 	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(legacy); err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	old.Write(checkpointMagic[:])
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), checkpointCRCTable))
+	old.Write(crc[:])
+	old.Write(payload.Bytes())
 
-	var buf bytes.Buffer
-	if err := sys.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(&buf, cfg)
+	fromCur, err := Load(&cur, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
-	if got := restored.sensors["a"].lbModel.N(); got != wantN {
-		t.Fatalf("restored model has %d observations, want %d", got, wantN)
-	}
-	gotForecast, err := restored.Predict("a", 1)
+	defer fromCur.Close()
+	fromOld, err := Load(&old, cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("legacy checkpoint with LBModel: %v", err)
 	}
-	if gotForecast.Mean != wantForecast.Mean || gotForecast.Variance != wantForecast.Variance {
-		t.Fatalf("restored forecast %v, want %v", gotForecast, wantForecast)
-	}
-
-	// Pre-ladder checkpoint: saved without LearnedLB, loaded with it —
-	// gob decodes the absent field as nil and the sensor starts over
-	// with a fresh (untrained) model.
-	plain, err := New(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if err := plain.AddSensor("a", all[:400]); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := plain.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	upgraded, err := Load(&buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer upgraded.Close()
-	if m := upgraded.sensors["a"].lbModel; m == nil || m.N() != 0 {
-		t.Fatalf("pre-ladder checkpoint should restore a fresh model, got %v", m)
-	}
-	if _, err := upgraded.Predict("a", 1); err != nil {
-		t.Fatal(err)
+	defer fromOld.Close()
+	for i := 420; i < 430; i++ {
+		want, err := fromCur.Predict("a", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fromOld.Predict("a", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Mean != want.Mean || got.Variance != want.Variance {
+			t.Fatalf("step %d: legacy-restored forecast %v/%v, want %v/%v", i, got.Mean, got.Variance, want.Mean, want.Variance)
+		}
+		if err := fromCur.Observe("a", all[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := fromOld.Observe("a", all[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -209,23 +236,16 @@ func TestCheckpointLBModelSurvives(t *testing.T) {
 // every staged deadline, a progressive answer (the verified-so-far
 // neighbor set pushed through the real predictor) forecasts better
 // than the AR(1) fallback the system would otherwise serve. Budgets
-// are deterministic countdown contexts, so the ladder is reproducible;
-// the resulting table is recorded in EXPERIMENTS.md.
+// are deterministic countdown contexts, and every budget runs on its
+// own identically seeded System, so no rung's forecasts feed another
+// rung's ensemble reweighting. The resulting table is recorded in
+// EXPERIMENTS.md.
 func TestAnytimeDeadlineLadderMAE(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Anytime = true
-	cfg.LearnedLB = true
 	cfg.Fallback = FallbackAR1
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
 	rng := rand.New(rand.NewSource(13))
 	all := noisySeries(rng, 1000)
-	if err := sys.AddSensor("s", all[:900]); err != nil {
-		t.Fatal(err)
-	}
 
 	// Budget 0 aborts before the filter step completes — every answer
 	// is an AR(1) fallback. The rest of the ladder lands mid- or
@@ -233,37 +253,9 @@ func TestAnytimeDeadlineLadderMAE(t *testing.T) {
 	// lower-bound kernel consumes one per block (Omega=8 here), each
 	// progressive verify round one more.
 	budgets := []int64{0, 9, 10, 12, 16, 1 << 30}
-	type rung struct {
-		absErr   float64
-		n        int
-		byTag    map[string]int
-		estSum   float64
-		fracsSum float64
-	}
-	rungs := make([]rung, len(budgets))
-	for i := range rungs {
-		rungs[i].byTag = make(map[string]int)
-	}
-	for i := 900; i < 960; i++ {
-		actual := all[i]
-		for bi, b := range budgets {
-			f, err := sys.PredictCtx(newCountdown(b), "s", 1)
-			if err != nil {
-				t.Fatalf("budget %d step %d: %v", b, i, err)
-			}
-			r := &rungs[bi]
-			r.absErr += math.Abs(f.Mean - actual)
-			r.n++
-			tag := f.Quality
-			if f.Degraded {
-				tag = "fallback"
-			}
-			r.byTag[tag]++
-			r.estSum += f.QualityEstimate
-		}
-		if err := sys.Observe("s", actual); err != nil {
-			t.Fatal(err)
-		}
+	rungs := make([]ladderRung, len(budgets))
+	for bi, b := range budgets {
+		rungs[bi] = runLadderRung(t, cfg, all, b)
 	}
 
 	if rungs[0].byTag["fallback"] != rungs[0].n {
@@ -302,7 +294,49 @@ func TestAnytimeDeadlineLadderMAE(t *testing.T) {
 	}
 }
 
-// TestAnytimeDeadlineOverrunBounded pins satellite semantics at the
+// ladderRung accumulates one budget's forecasts.
+type ladderRung struct {
+	absErr float64
+	n      int
+	byTag  map[string]int
+	estSum float64
+}
+
+// runLadderRung builds a fresh System, registers all[:900] and makes
+// 60 one-step forecasts, each under a countdown of the given budget,
+// observing the truth after each.
+func runLadderRung(t *testing.T, cfg Config, all []float64, budget int64) ladderRung {
+	t.Helper()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.AddSensor("s", all[:900]); err != nil {
+		t.Fatal(err)
+	}
+	r := ladderRung{byTag: make(map[string]int)}
+	for i := 900; i < 960; i++ {
+		f, err := sys.PredictCtx(newCountdown(budget), "s", 1)
+		if err != nil {
+			t.Fatalf("budget %d step %d: %v", budget, i, err)
+		}
+		r.absErr += math.Abs(f.Mean - all[i])
+		r.n++
+		tag := f.Quality
+		if f.Degraded {
+			tag = "fallback"
+		}
+		r.byTag[tag]++
+		r.estSum += f.QualityEstimate
+		if err := sys.Observe("s", all[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// TestExactModeDeadlineNeverPartial pins deadline semantics at the
 // public API: in exact (non-anytime) mode a deadline mid-verification
 // surfaces as DeadlineExceeded (here: an AR(1) fallback with reason
 // "deadline"), never a partial answer.

@@ -12,7 +12,7 @@
 //	smiler-server -addr :8080 -pprof -log-level debug
 //	smiler-server -checkpoint state.gob -wal-dir wal/ -fsync always
 //	smiler-server -predict-deadline 200ms -degraded-fallback ar1
-//	smiler-server -predict-deadline 50ms -anytime -learned-lb -degraded-fallback ar1
+//	smiler-server -predict-deadline 50ms -anytime -degraded-fallback ar1
 //	smiler-server -node-id n1 -cluster-peers n1=http://h1:8080,n2=http://h2:8080,n3=http://h3:8080
 //	smiler-server -node-id n4 -cluster-peers n4=http://h4:8080 -cluster-join http://h1:8080 -drain-on-term
 //
@@ -39,10 +39,7 @@
 // answers from the best verified-so-far neighbor set instead: the
 // response carries quality "progressive" plus a numeric quality
 // estimate, and only truly failed predictions reach the
-// -degraded-fallback rung. -learned-lb additionally orders the
-// verification rounds by a learned per-sensor lower-bound model so
-// the most promising candidates are verified first; it never changes
-// what a completed search returns.
+// -degraded-fallback rung.
 //
 // With -cluster-peers (and a matching -node-id), the process joins a
 // cluster: a consistent-hash ring assigns each sensor a primary plus
@@ -117,7 +114,6 @@ type options struct {
 	predictDeadline time.Duration
 	fallback        string
 	anytime         bool
-	learnedLB       bool
 	runtimeMetrics  time.Duration
 
 	nodeID            string
@@ -164,7 +160,6 @@ func main() {
 	flag.DurationVar(&o.predictDeadline, "predict-deadline", 0, "per-prediction deadline (0 = none)")
 	flag.StringVar(&o.fallback, "degraded-fallback", "none", "degraded-mode predictor: none|persistence|ar1")
 	flag.BoolVar(&o.anytime, "anytime", false, "progressive kNN search: on deadline, answer from the verified-so-far neighbor set (quality \"progressive\") instead of falling back")
-	flag.BoolVar(&o.learnedLB, "learned-lb", false, "order anytime verification rounds by a learned per-sensor lower-bound tightness model (never changes results)")
 	flag.DurationVar(&o.runtimeMetrics, "runtime-metrics-interval", 0, "runtime/GC telemetry sample period (0 = default 10s, negative = sample at scrape time only)")
 	flag.StringVar(&o.nodeID, "node-id", "", "this node's cluster member id (enables clustering with -cluster-peers)")
 	flag.StringVar(&o.clusterPeers, "cluster-peers", "", `static membership incl. self: "n1=http://host1:8080,n2=http://host2:8080"`)
@@ -228,7 +223,6 @@ func run(o options) error {
 	cfg.DisablePooling = o.disablePooling
 	cfg.PredictDeadline = o.predictDeadline
 	cfg.Anytime = o.anytime
-	cfg.LearnedLB = o.learnedLB
 	cfg.RuntimeMetricsInterval = o.runtimeMetrics
 	fb, err := smiler.ParseFallback(o.fallback)
 	if err != nil {

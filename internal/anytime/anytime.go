@@ -1,22 +1,15 @@
 // Package anytime is the quality side of the anytime prediction
 // engine: it quantifies how far a progressive (best-so-far) kNN result
-// is from the exact answer, and learns a per-sensor model that makes
-// progressive search converge faster.
+// is from the exact answer.
 //
-// Two ideas from the literature meet here. ProS (Echihabi et al.,
-// arXiv 2212.13310) shows that a kNN search which verifies candidates
-// in ascending lower-bound order can stop at any point and report the
-// probability that its best-so-far set already equals the exact set —
-// the estimate below follows the same construction from observed
-// "flip" frequencies. Ding et al. (arXiv 2302.03085) show a learned
-// layer over window-level summaries tightens admission into the
-// expensive verification stage; Model is that layer: a piecewise-linear
-// map from a window-level envelope lower bound to the expected true DTW
-// distance, trained incrementally from the (lower bound, distance)
-// pairs every verification produces anyway.
+// ProS (Echihabi et al., arXiv 2212.13310) shows that a kNN search
+// which verifies candidates in ascending lower-bound order can stop at
+// any point and report the probability that its best-so-far set
+// already equals the exact set — the estimate below follows the same
+// construction from observed "flip" frequencies.
 //
 // The package is deliberately free of index/pipeline dependencies so
-// every layer (index, core, checkpointing) can share its types.
+// every layer (index, core) can share its types.
 package anytime
 
 import "math"
@@ -58,153 +51,4 @@ func EstimateProbExact(flips, atRisk, remaining int) float64 {
 		return 0
 	}
 	return math.Pow(1-rate, float64(remaining))
-}
-
-// modelBins is the number of piecewise segments: half-log2 buckets over
-// the lower-bound magnitude, covering [0, 2^32) — far beyond any
-// normalized-series DTW distance.
-const modelBins = 64
-
-// minTrain is the number of observations before Predict departs from
-// the identity map. Below it the model orders candidates exactly like
-// the raw lower bound, so an untrained model is a no-op.
-const minTrain = 64
-
-// binCap caps the per-bin effective sample count: beyond it the bin
-// mean becomes an exponential moving average, so the model tracks
-// regime changes in the stream instead of freezing on ancient history.
-const binCap = 512
-
-// Model is the learned lower-bound layer: a per-sensor piecewise-linear
-// map lb ↦ E[dist | lb]. Each half-log2 bucket of the lower-bound axis
-// holds the running mean ratio dist/lb observed there, so prediction is
-// ratio(bin(lb))·lb — linear in lb within each segment. Since banded
-// DTW distance is always ≥ its envelope lower bound, ratios are ≥ 1 and
-// the prediction is a tightened admission threshold: candidates whose
-// predicted distance exceeds the filter threshold are deferred to the
-// latest verification rounds.
-//
-// The model only influences the ORDER in which candidates are verified,
-// never which candidates are verified or with what cutoff — so search
-// results are bit-identical with or without it (the exactness ablation
-// mirrors DisableEarlyAbandon).
-//
-// Not safe for concurrent use; each sensor's model is guarded by the
-// sensor lock like the index it accompanies.
-type Model struct {
-	count  [modelBins]float64
-	ratio  [modelBins]float64
-	global float64 // running mean ratio across all bins
-	n      uint64
-}
-
-// NewModel returns an empty (identity) model.
-func NewModel() *Model { return &Model{} }
-
-func bin(lb float64) int {
-	b := int(2 * math.Log2(1+lb))
-	if b < 0 {
-		b = 0
-	}
-	if b >= modelBins {
-		b = modelBins - 1
-	}
-	return b
-}
-
-// Observe feeds one verified (lower bound, exact distance) pair.
-// Non-finite or non-positive inputs are ignored (abandoned candidates
-// report +Inf and carry no ratio information).
-func (m *Model) Observe(lb, dist float64) {
-	if m == nil {
-		return
-	}
-	if !(lb > 1e-12) || math.IsInf(dist, 0) || math.IsNaN(dist) || dist < lb {
-		return
-	}
-	r := dist / lb
-	b := bin(lb)
-	if m.count[b] < binCap {
-		m.count[b]++
-	}
-	m.ratio[b] += (r - m.ratio[b]) / m.count[b]
-	m.n++
-	w := float64(m.n)
-	if w > binCap {
-		w = binCap
-	}
-	m.global += (r - m.global) / w
-}
-
-// Ready reports whether the model has seen enough pairs to order
-// candidates better than the raw lower bound.
-func (m *Model) Ready() bool { return m != nil && m.n >= minTrain }
-
-// N returns the number of pairs observed.
-func (m *Model) N() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.n
-}
-
-// Predict maps a lower bound to the expected true DTW distance. An
-// untrained model (or an empty bin backed by no global signal) returns
-// lb itself, so ordering degrades gracefully to plain lower-bound
-// order.
-func (m *Model) Predict(lb float64) float64 {
-	if !m.Ready() || !(lb > 0) {
-		return lb
-	}
-	b := bin(lb)
-	r := m.ratio[b]
-	if m.count[b] == 0 {
-		r = m.global
-	}
-	if r < 1 {
-		r = 1
-	}
-	return r * lb
-}
-
-// ModelState is the serializable snapshot of a Model, carried inside
-// the per-sensor checkpoint envelope so the learned layer survives WAL
-// replay, tiering spill, migration and replication. Gob decodes a
-// missing field as the zero value, so checkpoints written before this
-// layer existed restore with a fresh model.
-type ModelState struct {
-	Version int
-	Counts  []float64
-	Ratios  []float64
-	Global  float64
-	N       uint64
-}
-
-// State snapshots the model.
-func (m *Model) State() ModelState {
-	s := ModelState{
-		Version: 1,
-		Counts:  make([]float64, modelBins),
-		Ratios:  make([]float64, modelBins),
-		Global:  m.global,
-		N:       m.n,
-	}
-	copy(s.Counts, m.count[:])
-	copy(s.Ratios, m.ratio[:])
-	return s
-}
-
-// NewModelFromState restores a model from a snapshot. Unknown versions
-// or malformed snapshots yield a fresh model rather than an error: the
-// learned layer is an accelerator, never a correctness dependency.
-func NewModelFromState(s ModelState) *Model {
-	m := &Model{}
-	if s.Version != 1 || len(s.Counts) != modelBins || len(s.Ratios) != modelBins {
-		return m
-	}
-	copy(m.count[:], s.Counts)
-	copy(m.ratio[:], s.Ratios)
-	m.global = s.Global
-	m.n = s.N
-	return m
 }

@@ -1,82 +1,6 @@
 package anytime
 
-import (
-	"math"
-	"testing"
-)
-
-func TestModelIdentityUntilTrained(t *testing.T) {
-	m := NewModel()
-	if m.Ready() {
-		t.Fatal("fresh model claims Ready")
-	}
-	for _, lb := range []float64{0, 0.5, 3, 100} {
-		if got := m.Predict(lb); got != lb {
-			t.Fatalf("untrained Predict(%v) = %v, want identity", lb, got)
-		}
-	}
-	for i := 0; i < minTrain; i++ {
-		m.Observe(1.0, 2.0)
-	}
-	if !m.Ready() {
-		t.Fatalf("model not Ready after %d observations", minTrain)
-	}
-}
-
-func TestModelLearnsRatio(t *testing.T) {
-	m := NewModel()
-	// dist is consistently 3× the lower bound.
-	for i := 0; i < 200; i++ {
-		lb := 0.5 + float64(i%10)
-		m.Observe(lb, 3*lb)
-	}
-	got := m.Predict(2.0)
-	if got < 5 || got > 7 {
-		t.Fatalf("Predict(2.0) = %v, want ≈ 6 (ratio 3)", got)
-	}
-	// Prediction is never below the lower bound itself.
-	if m.Predict(4.0) < 4.0 {
-		t.Fatalf("Predict(4.0) = %v below the lower bound", m.Predict(4.0))
-	}
-}
-
-func TestModelIgnoresDegenerateObservations(t *testing.T) {
-	m := NewModel()
-	m.Observe(0, 5)            // lb too small to carry a ratio
-	m.Observe(2, math.Inf(1))  // abandoned candidate
-	m.Observe(2, math.NaN())   // garbage
-	m.Observe(5, 2)            // dist < lb: not a valid bound pair
-	m.Observe(math.Inf(1), 10) // infinite bound
-	var nilModel *Model
-	nilModel.Observe(1, 2) // nil-safe
-	_ = nilModel.Ready()
-	_ = nilModel.N()
-	if m.N() != 0 {
-		t.Fatalf("degenerate observations were counted: n=%d", m.N())
-	}
-}
-
-func TestModelStateRoundTrip(t *testing.T) {
-	m := NewModel()
-	for i := 0; i < 300; i++ {
-		lb := 0.1 + float64(i%17)*0.3
-		m.Observe(lb, lb*(1.5+float64(i%5)))
-	}
-	r := NewModelFromState(m.State())
-	if r.N() != m.N() {
-		t.Fatalf("restored n=%d want %d", r.N(), m.N())
-	}
-	for _, lb := range []float64{0.2, 1, 2.7, 9, 40} {
-		if got, want := r.Predict(lb), m.Predict(lb); got != want {
-			t.Fatalf("restored Predict(%v)=%v want %v", lb, got, want)
-		}
-	}
-	// Malformed snapshots restore as a fresh (identity) model.
-	bad := NewModelFromState(ModelState{Version: 99})
-	if bad.Ready() || bad.Predict(3) != 3 {
-		t.Fatal("malformed snapshot did not restore as identity model")
-	}
-}
+import "testing"
 
 func TestEstimateProbExact(t *testing.T) {
 	if got := EstimateProbExact(0, 0, 0); got != 1 {

@@ -320,7 +320,6 @@ func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 		}
 		tr.SetStat("progressive_rounds", float64(st.Rounds))
 		tr.SetStat("verified_at_deadline", float64(st.VerifiedAtDeadline))
-		tr.SetStat("lb_model_hits", float64(st.LBModelHits))
 		tr.SetStat("quality_estimate", q.Estimate)
 	}
 	tr.SetStat("knn_candidates", float64(st.Candidates))

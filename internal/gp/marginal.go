@@ -47,8 +47,8 @@ func mlValueGrad(ts trainSet, hp Hyper, s *evalScratch) (float64, [3]float64, er
 		kinvRow := kinv.Row(i)
 		covRow := cov.Row(i)
 		wii := alpha[i]*alpha[i] - kinvRow[i]
-		grad[0] += 0.5 * wii * (2 * sig2)    // diagonal K_SE = θ₀², r² = 0
-		grad[2] += 0.5 * wii * (2 * noise2)  // ∂C/∂log θ₂ lives on the diagonal
+		grad[0] += 0.5 * wii * (2 * sig2)   // diagonal K_SE = θ₀², r² = 0
+		grad[2] += 0.5 * wii * (2 * noise2) // ∂C/∂log θ₂ lives on the diagonal
 		for j := i + 1; j < n; j++ {
 			w := 2 * (alpha[i]*alpha[j] - kinvRow[j]) // (i,j) and (j,i)
 			kse := covRow[j]

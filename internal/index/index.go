@@ -168,6 +168,9 @@ type Index struct {
 
 	// any configures progressive (anytime) search — see progressive.go.
 	any Anytime
+	// refs is the verify engine's per-round block list, reused across
+	// searches.
+	refs []verifyRef
 
 	stats SearchStats
 }
@@ -195,22 +198,17 @@ type SearchStats struct {
 	// verification, summed over item queries.
 	VerifyWallSeconds float64
 	// PerItem splits the candidate counters per item query, ordered
-	// like ELV. The fused verification launch processes every item
-	// query's chunks in one grid, so the per-item split is carried here
-	// rather than read between launches.
+	// like ELV. Each verification launch processes every item query's
+	// chunks in one grid, so the per-item split is carried here rather
+	// than read between launches.
 	PerItem []ItemStats
 
-	// Progressive-search counters (anytime mode; all zero in exact
-	// mode). They explain why a query went progressive: how many
-	// cost-ordered verify rounds ran, how much of the candidate set was
-	// verified when the deadline fired, and whether the learned
-	// lower-bound model ordered the rounds.
+	// Progressive-search counters. They explain why a query went
+	// progressive: how many verify rounds ran (exact mode runs one) and
+	// how much of the candidate set was verified when the deadline fired.
 	//
-	// Rounds is the number of cost-ordered verification rounds run.
+	// Rounds is the number of verification rounds run.
 	Rounds int
-	// LBModelHits counts candidates whose verification order came from
-	// the learned lower-bound model rather than the raw lower bound.
-	LBModelHits int
 	// VerifiedAtDeadline is the number of candidates verified when the
 	// deadline fired (0 when the search ran to completion).
 	VerifiedAtDeadline int

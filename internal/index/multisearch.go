@@ -65,7 +65,6 @@ func (ix *Index) SearchMultiCtx(ctx context.Context, k int, hs []int) (map[int][
 	n := len(ix.c)
 	tasks := make([]*verifyTask, len(ix.p.ELV))
 	defer releaseTaskDists(tasks)
-	var launch []*verifyTask
 	for i, d := range ix.p.ELV {
 		nPos := len(lbs[i])
 		if nPos == 0 {
@@ -102,24 +101,17 @@ func (ix *Index) SearchMultiCtx(ctx context.Context, k int, hs []int) (map[int][
 		if !any {
 			continue
 		}
-		t := &verifyTask{d: d, query: query, lbs: lbs[i], need: need, cutoff: ix.abandonCutoff(tauMax), seeds: seeds}
-		tasks[i] = t
-		launch = append(launch, t)
+		tasks[i] = &verifyTask{d: d, query: query, lbs: lbs[i], need: need, cutoff: ix.abandonCutoff(tauMax), seeds: seeds}
 	}
-	if err := ix.runVerify(ctx, launch, k); err != nil {
+	if err := ix.verifyProgressive(ctx, tasks, k); err != nil {
 		return nil, err
 	}
-	ix.finishQuality(launch)
 
 	inf := math.Inf(1)
 	for i, d := range ix.p.ELV {
 		t := tasks[i]
 		var dists []float64
 		if t != nil {
-			ix.stats.Unfiltered += t.unfiltered
-			if i < len(ix.stats.PerItem) {
-				ix.stats.PerItem[i].Unfiltered = t.unfiltered
-			}
 			dists = t.dists
 		} else {
 			dists = memsys.GetFloats(len(lbs[i]))
@@ -135,7 +127,7 @@ func (ix *Index) SearchMultiCtx(ctx context.Context, k int, hs []int) (map[int][
 			}
 			var neighbors []Neighbor
 			if maxT >= 0 {
-				neighbors, err = ix.selectKRange(dists[:maxT+1], k)
+				neighbors, err = ix.selectK(dists[:maxT+1], k)
 				if err != nil {
 					return nil, err
 				}
@@ -151,10 +143,4 @@ func (ix *Index) SearchMultiCtx(ctx context.Context, k int, hs []int) (map[int][
 		}
 	}
 	return out, nil
-}
-
-// selectKRange selects the k nearest among the verified candidates in
-// the given range, honouring MinSeparation like selectK.
-func (ix *Index) selectKRange(dists []float64, k int) ([]Neighbor, error) {
-	return ix.selectK(dists, k)
 }

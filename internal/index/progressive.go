@@ -1,8 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,24 +15,17 @@ import (
 )
 
 // Anytime configures progressive (deadline-aware) search. When Enabled,
-// candidate verification proceeds in cost-ordered rounds — cheapest
-// lower bounds (or learned-model-predicted distances) first — and an
-// expired context deadline stops the rounds instead of aborting the
-// search: the call returns the current best-so-far kNN set per item
-// query plus quality counters in Stats(). With no deadline every round
-// runs, every surviving candidate is verified with the same cutoff the
-// fused exact pass uses, and the results are bit-identical to exact
+// candidate verification proceeds in rounds, cheapest lower bounds
+// first, and an expired context deadline stops the rounds instead of
+// aborting the search: the call returns the current best-so-far kNN set
+// per item query plus quality counters in Stats(). With no deadline
+// every round runs, every surviving candidate is verified with the same
+// cutoff exact search uses, and the results are bit-identical to exact
 // search.
 type Anytime struct {
 	// Enabled switches Search/SearchMulti/SearchRange to progressive
 	// rounds.
 	Enabled bool
-	// Model, when non-nil, orders verification rounds by the learned
-	// lower-bound layer's predicted true distance instead of the raw
-	// lower bound, and is trained incrementally from every verified
-	// (lower bound, distance) pair. It never changes which candidates
-	// are verified or with what cutoff, so results stay bit-identical.
-	Model *anytime.Model
 }
 
 // SetAnytime configures progressive search on the index.
@@ -48,7 +43,7 @@ const progMaxRoundChunks = 8
 
 // topK tracks the running k smallest verified distances (ascending).
 // It only backs the quality estimate; the returned neighbours come from
-// the same block k-selection the exact path uses.
+// the block k-selection over the distance rows.
 type topK struct {
 	k int
 	d []float64
@@ -81,117 +76,203 @@ func (t *topK) kth() float64 {
 	return t.d[t.k-1]
 }
 
-// progTask is one task's progressive verification state: its surviving
-// candidates in cost order and the verified contiguous prefix.
-type progTask struct {
-	t     *verifyTask
-	order []int // candidate positions, cost-ascending
-	next  int   // order[:next] is verified
-	top   topK
+// verifyTask describes one item query's share of verification: which
+// candidates to verify (an explicit need mask, or the lb ≤ τ filter),
+// the early-abandon cutoff, the output distances (+Inf for filtered or
+// abandoned candidates) and the engine's progress and quality state.
+type verifyTask struct {
+	d      int
+	query  []float64
+	lbs    []float64
+	need   []bool // nil: filter by lbs[t] ≤ tau
+	tau    float64
+	cutoff float64 // early-abandon cutoff (+Inf disables)
+
+	// seeds are the threshold candidates with their exact distances;
+	// the engine prefills them instead of verifying them again.
+	seeds []seedCand
+	// rangeMode marks an ε-range task: quality accounting compares
+	// against the fixed radius tau instead of a running k-th distance.
+	rangeMode bool
+
+	dists []float64 // out: exact DTW or +Inf (pooled)
+
+	// Engine state (see verifyProgressive).
+	order  []int // surviving non-seed positions (pooled)
+	sorted bool  // order is ascending (lower bound, position), not position
+	next   int   // order[:next] is verified
+	top    topK  // running k best; maintained only for sorted tasks
+
+	// Quality counters.
+	kept       int     // candidates surviving the filter (incl. seeds)
+	verified   int     // candidates with exact distances computed
+	flips      int     // verified at-risk candidates that entered the set
+	atRisk     int     // verified candidates that could have entered
+	remaining  int     // unverified candidates still able to change the set
+	minUnverLB float64 // smallest unverified lower bound (+Inf if none)
+	kthDist    float64 // k-th best-so-far distance (+Inf until k found)
+	complete   bool    // every kept candidate verified
 }
 
-// verifyProgressive is the anytime counterpart of verifyFused: the
-// threshold seeds prefill the output (they are the previous step's kNN
-// set — an already-valid answer), the remaining surviving candidates
-// are sorted by expected cost-to-usefulness (learned-model-predicted
-// distance when available, raw lower bound otherwise) and verified in
-// geometrically growing rounds, one fused launch per round. The context
-// is checked between rounds: when the deadline fires the loop stops and
-// each task keeps its best-so-far distances plus the quality counters
-// the ProS-style estimate needs. Device or DTW errors still abort.
+// keep reports whether candidate position t must be verified.
+func (t *verifyTask) keep(pos int) bool {
+	if t.need != nil {
+		return t.need[pos]
+	}
+	return t.lbs[pos] <= t.tau
+}
+
+// verifyRef is one block of a verify round: order[lo:hi] of task, plus
+// the filter-scan charge (candidate positions tested) the block pays.
+type verifyRef struct {
+	task, lo, hi, scan int
+}
+
+// verifyProgressive is the index's verification engine, shared by
+// Search, SearchMulti and SearchRange; tasks[i] is item query i's task
+// (nil when it has no candidates). The threshold seeds prefill the
+// output — their exact distances are already known — and the other
+// filter survivors are verified in rounds, one fused launch per round,
+// each block verifying one chunk of at most verifyChunk candidates of
+// one task. The first round also charges every task's filter scan
+// (Section 4.4's two-phase filter/verify) to the simulated device.
 //
-// With an unexpired context this verifies exactly the candidates the
-// fused pass would, with the same cutoff, so the distance arrays — and
-// therefore the selected neighbours — are bit-identical to exact mode.
+// Exact mode is the one-round schedule: every survivor goes into one
+// launch in position order, chunked by verifyChunk-wide position
+// windows, and every block checks the context, so an expired deadline
+// aborts with ctx.Err() within the chunks already in flight. Anytime
+// mode grows rounds geometrically (one chunk per task, two, four, ...)
+// in ascending lower-bound order and checks the deadline between
+// rounds: when it fires, each task keeps its best-so-far distances plus
+// the counters the ProS-style quality estimate needs. A task is sorted
+// only when its survivors do not fit in its first round; when one round
+// completes it, order cannot change its distances, counts or quality.
+//
+// Every survivor is verified with the task's cutoff in either mode, so
+// with an unexpired context the distance rows — and the neighbours
+// selected from them — are identical. The per-item Unfiltered counters
+// and the quality summary are written to the search stats.
 func (ix *Index) verifyProgressive(ctx context.Context, tasks []*verifyTask, k int) error {
 	inf := math.Inf(1)
 	wallStart := time.Now()
 	defer func() { ix.stats.VerifyWallSeconds += time.Since(wallStart).Seconds() }()
 	before := ix.dev.SimSeconds()
 	defer func() { ix.stats.VerifySimSeconds += ix.dev.SimSeconds() - before }()
-	model := ix.any.Model
-	useModel := model.Ready()
+	defer func() {
+		for _, t := range tasks {
+			if t != nil {
+				memsys.PutInts(t.order)
+				t.order = nil
+			}
+		}
+	}()
 
-	pts := make([]*progTask, 0, len(tasks))
+	exact := !ix.any.Enabled
+	roundSize := verifyChunk
+	if exact {
+		roundSize = math.MaxInt
+	}
 	for _, t := range tasks {
+		if t == nil {
+			continue
+		}
 		n := len(t.lbs)
 		t.dists = memsys.GetFloats(n)
 		for i := range t.dists {
 			t.dists[i] = inf
 		}
 		t.minUnverLB = inf
-		pt := &progTask{t: t, top: topK{k: k}}
-		if t.rangeMode {
-			pt.top.k = 0
-		}
-		// Seed prefill: exact distances from the threshold phase. Each
-		// seed has dist ≤ τ, so the τ-cutoff verification would compute
-		// the identical value; skipping its round slot changes nothing.
+		// Seed prefill: each seed has dist ≤ τ (≤ the cutoff), so
+		// verification would compute the identical value. Duplicate
+		// seeds (SearchMulti's horizons share positions) are dropped.
+		seeds := t.seeds[:0]
 		for _, s := range t.seeds {
 			if s.t < 0 || s.t >= n || !t.keep(s.t) || !math.IsInf(t.dists[s.t], 1) {
 				continue
 			}
 			t.dists[s.t] = s.dist
-			t.kept++
-			t.verified++
-			pt.top.add(s.dist)
+			seeds = append(seeds, s)
 		}
-		// Remaining survivors in cost order.
+		t.seeds = seeds
+		t.kept = len(seeds)
+		t.verified = len(seeds)
+		pending := func(pos int) bool { return t.keep(pos) && math.IsInf(t.dists[pos], 1) }
+		cnt := 0
 		for pos := 0; pos < n; pos++ {
-			if !t.keep(pos) || !math.IsInf(t.dists[pos], 1) {
-				continue
-			}
-			pt.order = append(pt.order, pos)
-		}
-		t.kept += len(pt.order)
-		keys := make([]float64, len(pt.order))
-		for i, pos := range pt.order {
-			if useModel {
-				keys[i] = model.Predict(t.lbs[pos])
-			} else {
-				keys[i] = t.lbs[pos]
+			if pending(pos) {
+				cnt++
 			}
 		}
-		if useModel {
-			ix.stats.LBModelHits += len(pt.order)
+		t.order = memsys.GetInts(cnt)[:0]
+		for pos := 0; pos < n; pos++ {
+			if pending(pos) {
+				t.order = append(t.order, pos)
+			}
 		}
-		ord := pt.order
-		sort.Sort(&costOrder{ord: ord, key: keys})
-		pts = append(pts, pt)
+		t.kept += cnt
+		if len(t.order) > roundSize {
+			t.sorted = true
+			// (lower bound, position) is a strict total order, so the
+			// rounds are deterministic.
+			slices.SortFunc(t.order, func(a, b int) int {
+				if c := cmp.Compare(t.lbs[a], t.lbs[b]); c != 0 {
+					return c
+				}
+				return a - b
+			})
+			if !t.rangeMode {
+				t.top = topK{k: k}
+				for _, s := range t.seeds {
+					t.top.add(s.dist)
+				}
+			}
+		}
 	}
 
 	rho := ix.p.Rho
-	type progRef struct {
-		pt     *progTask
-		lo, hi int // range within pt.order
-	}
-	roundSize := verifyChunk
-	deadline := false
-	for !deadline {
-		var refs []progRef
-		for _, pt := range pts {
-			hi := pt.next + roundSize
-			if hi > len(pt.order) {
-				hi = len(pt.order)
+	for round := 0; ; round++ {
+		refs := ix.refs[:0]
+		for ti, t := range tasks {
+			if t == nil {
+				continue
 			}
-			for lo := pt.next; lo < hi; lo += verifyChunk {
-				chunkHi := lo + verifyChunk
-				if chunkHi > hi {
-					chunkHi = hi
+			scan := 0
+			if round == 0 {
+				scan = len(t.lbs)
+			}
+			lo, hi := t.next, t.roundEnd(roundSize)
+			for lo < hi {
+				end := lo + 1
+				for end < hi && end-lo < verifyChunk && (t.sorted || t.order[end]/verifyChunk == t.order[lo]/verifyChunk) {
+					end++
 				}
-				refs = append(refs, progRef{pt, lo, chunkHi})
+				refs = append(refs, verifyRef{task: ti, lo: lo, hi: end, scan: scan})
+				lo, scan = end, 0
+			}
+			if scan > 0 { // no survivors to verify: the block only filters
+				refs = append(refs, verifyRef{task: ti, scan: scan})
 			}
 		}
+		ix.refs = refs
 		if len(refs) == 0 {
 			break // every task fully verified
 		}
 		ix.stats.Rounds++
 		roundStart := time.Now()
 		err := ix.dev.Launch(len(refs), func(blk *gpusim.Block) error {
+			if exact {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
 			ref := refs[blk.ID]
-			t := ref.pt.t
-			d := t.d
+			t := tasks[ref.task]
+			blk.GlobalAccess(ref.scan)
 			cnt := ref.hi - ref.lo
+			if cnt == 0 {
+				return nil
+			}
+			d := t.d
 			if err := blk.AllocShared(8 * d); err != nil { // query resident
 				return err
 			}
@@ -201,8 +282,7 @@ func (ix *Index) verifyProgressive(ctx context.Context, tasks []*verifyTask, k i
 			scratch := dtw.GetCompressedScratch(rho)
 			defer dtw.PutCompressedScratch(scratch)
 			totalCols, maxCols := 0, 0
-			for i := ref.lo; i < ref.hi; i++ {
-				pos := ref.pt.order[i]
+			for _, pos := range t.order[ref.lo:ref.hi] {
 				dist, cols, err := dtw.DistanceCompressedAbandon(t.query, ix.c[pos:pos+d], rho, t.cutoff, scratch)
 				if err != nil {
 					return err
@@ -213,6 +293,10 @@ func (ix *Index) verifyProgressive(ctx context.Context, tasks []*verifyTask, k i
 					maxCols = cols
 				}
 			}
+			// Honest abandon accounting: candidates stream only the
+			// columns that were processed, and each lane fills
+			// cols·(2ρ+1) band cells in lock-step waves bounded by the
+			// longest lane.
 			blk.GlobalAccess(totalCols)
 			blk.ParallelCompute(cnt, maxCols*(2*rho+1)*6)
 			return nil
@@ -221,57 +305,44 @@ func (ix *Index) verifyProgressive(ctx context.Context, tasks []*verifyTask, k i
 		if err != nil {
 			return err
 		}
-		// Deterministic host-side accounting, in cost order: quality
-		// bookkeeping for the ProS estimate and incremental training of
-		// the learned layer from every freshly verified pair.
-		for _, pt := range pts {
-			t := pt.t
-			hi := pt.next + roundSize
-			if hi > len(pt.order) {
-				hi = len(pt.order)
+		// Deterministic host-side quality bookkeeping, in cost order.
+		// A task this round completes needs none.
+		for _, t := range tasks {
+			if t == nil {
+				continue
 			}
-			for i := pt.next; i < hi; i++ {
-				pos := pt.order[i]
-				lb := t.lbs[pos]
-				dist := t.dists[pos]
-				model.Observe(lb, dist)
-				if t.rangeMode {
-					t.atRisk++
-					if dist <= t.tau {
-						t.flips++
-					}
-					continue
-				}
-				kth := pt.top.kth()
-				if lb < kth || math.IsInf(kth, 1) {
-					t.atRisk++
-					if pt.top.add(dist) {
-						t.flips++
-					}
-				}
+			hi := t.roundEnd(roundSize)
+			if hi < len(t.order) {
+				t.account(t.order[t.next:hi])
 			}
-			t.verified += hi - pt.next
-			pt.next = hi
+			t.verified += hi - t.next
+			t.next = hi
 		}
-		if ctx.Err() != nil {
-			deadline = true
+		if exact || ctx.Err() != nil {
+			break
 		}
 		if roundSize < progMaxRoundChunks*verifyChunk {
 			roundSize *= 2
 		}
 	}
 
-	// Per-task completion state for the quality aggregation.
-	for _, pt := range pts {
-		t := pt.t
-		t.unfiltered = t.verified
-		t.complete = pt.next == len(pt.order)
-		if t.rangeMode {
-			t.kthDist = t.tau
-		} else {
-			t.kthDist = pt.top.kth()
+	for i, t := range tasks {
+		if t == nil {
+			continue
 		}
-		for _, pos := range pt.order[pt.next:] {
+		ix.stats.Unfiltered += t.verified
+		if i < len(ix.stats.PerItem) {
+			ix.stats.PerItem[i].Unfiltered = t.verified
+		}
+		t.complete = t.next == len(t.order)
+		if t.complete {
+			continue
+		}
+		t.kthDist = t.tau
+		if !t.rangeMode {
+			t.kthDist = t.top.kth()
+		}
+		for _, pos := range t.order[t.next:] {
 			lb := t.lbs[pos]
 			if lb < t.minUnverLB {
 				t.minUnverLB = lb
@@ -281,35 +352,46 @@ func (ix *Index) verifyProgressive(ctx context.Context, tasks []*verifyTask, k i
 			}
 		}
 	}
+	ix.finishQuality(tasks)
 	return nil
 }
 
-// costOrder sorts candidate positions by (key, position): the strict
-// total order keeps rounds deterministic under any sort algorithm.
-type costOrder struct {
-	ord []int
-	key []float64
-}
-
-func (c *costOrder) Len() int { return len(c.ord) }
-func (c *costOrder) Less(i, j int) bool {
-	if c.key[i] != c.key[j] {
-		return c.key[i] < c.key[j]
+// roundEnd returns the end of the task's next round of at most size
+// candidates.
+func (t *verifyTask) roundEnd(size int) int {
+	if size < len(t.order)-t.next {
+		return t.next + size
 	}
-	return c.ord[i] < c.ord[j]
-}
-func (c *costOrder) Swap(i, j int) {
-	c.ord[i], c.ord[j] = c.ord[j], c.ord[i]
-	c.key[i], c.key[j] = c.key[j], c.key[i]
+	return len(t.order)
 }
 
-// finishQuality aggregates the per-task progressive counters into the
-// search stats: worst case over item queries, so one starved column
-// marks the whole search progressive. A no-op in exact mode.
+// account updates the ProS counters with freshly verified positions:
+// a candidate is at risk when its lower bound is below the running k-th
+// distance (or within ε in range mode), and flips when it enters the
+// set.
+func (t *verifyTask) account(verified []int) {
+	for _, pos := range verified {
+		dist := t.dists[pos]
+		if t.rangeMode {
+			t.atRisk++
+			if dist <= t.tau {
+				t.flips++
+			}
+			continue
+		}
+		if kth := t.top.kth(); t.lbs[pos] < kth || math.IsInf(kth, 1) {
+			t.atRisk++
+			if t.top.add(dist) {
+				t.flips++
+			}
+		}
+	}
+}
+
+// finishQuality aggregates the per-task counters into the search
+// stats: worst case over item queries, so one starved column marks the
+// whole search progressive.
 func (ix *Index) finishQuality(tasks []*verifyTask) {
-	if !ix.any.Enabled {
-		return
-	}
 	q := aggregateQuality(tasks)
 	ix.stats.Progressive = !q.Exact
 	ix.stats.FracVerified = q.FracVerified
@@ -318,18 +400,23 @@ func (ix *Index) finishQuality(tasks []*verifyTask) {
 	if !q.Exact {
 		totVerified := 0
 		for _, t := range tasks {
-			totVerified += t.verified
+			if t != nil {
+				totVerified += t.verified
+			}
 		}
 		ix.stats.VerifiedAtDeadline = totVerified
 	}
 }
 
-// aggregateQuality folds per-task progressive counters into one
-// anytime.Quality describing the whole search (worst case over tasks).
+// aggregateQuality folds per-task counters into one anytime.Quality
+// describing the whole search (worst case over tasks).
 func aggregateQuality(tasks []*verifyTask) anytime.Quality {
 	q := anytime.Quality{Exact: true, FracVerified: 1, ProbExact: 1}
 	totKept, totVerified := 0, 0
 	for _, t := range tasks {
+		if t == nil {
+			continue
+		}
 		totKept += t.kept
 		totVerified += t.verified
 		if t.complete {

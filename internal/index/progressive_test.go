@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"smiler/internal/anytime"
+	"smiler/internal/scan"
 )
 
 // countdownCtx is a context whose Err() starts returning
@@ -58,90 +58,138 @@ func sameNeighbors(a, b []Neighbor) bool {
 	return true
 }
 
-// With no deadline, anytime search (with a learned model training as it
-// goes) must be bit-identical to exact search across a stream of
-// Search, SearchMulti and SearchRange calls.
+// With no deadline, exact search and anytime search must agree bit for
+// bit across a stream of Search, SearchMulti and SearchRange calls, and
+// both must match the brute-force scan — with early abandon on and off.
 func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	hist := randwalk(rng, 420)
-	p := smallParams()
-	exact, err := New(testDevice(t), hist, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anyIx, err := New(testDevice(t), hist, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anyIx.SetAnytime(Anytime{Enabled: true, Model: anytime.NewModel()})
+	for _, abandon := range []bool{true, false} {
+		rng := rand.New(rand.NewSource(7))
+		hist := randwalk(rng, 420)
+		p := smallParams()
+		p.DisableEarlyAbandon = !abandon
+		exact, err := New(testDevice(t), hist, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		anyIx, err := New(testDevice(t), hist, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		anyIx.SetAnytime(Anytime{Enabled: true})
 
-	const k, h = 5, 3
-	for step := 0; step < 12; step++ {
-		re, err := exact.Search(k, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ra, err := anyIx.Search(k, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range re {
-			if !sameNeighbors(re[i].Neighbors, ra[i].Neighbors) {
-				t.Fatalf("step %d item %d: anytime %v != exact %v", step, i, ra[i].Neighbors, re[i].Neighbors)
+		const k, h = 5, 3
+		for step := 0; step < 12; step++ {
+			c := exact.History()
+			re, err := exact.Search(k, h)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		st := anyIx.Stats()
-		if st.Progressive {
-			t.Fatalf("step %d: no deadline but stats marked progressive", step)
-		}
-		if st.ProbExact != 1 || st.FracVerified != 1 || st.LBGap != 0 {
-			t.Fatalf("step %d: exact run quality = %+v", step, st)
-		}
-		if st.Rounds == 0 && st.Candidates > k*len(p.ELV) {
-			t.Fatalf("step %d: anytime search ran zero rounds", step)
-		}
+			ra, err := anyIx.Search(k, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, d := range p.ELV {
+				if !sameNeighbors(re[i].Neighbors, ra[i].Neighbors) {
+					t.Fatalf("abandon=%v step %d item %d: anytime %v != exact %v", abandon, step, i, ra[i].Neighbors, re[i].Neighbors)
+				}
+				want, err := scan.BruteKNN(c, c[len(c)-d:], p.Rho, k, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				neighborsMatch(t, re[i].Neighbors, want)
+			}
+			st := anyIx.Stats()
+			if st.Progressive {
+				t.Fatalf("step %d: no deadline but stats marked progressive", step)
+			}
+			if st.ProbExact != 1 || st.FracVerified != 1 || st.LBGap != 0 {
+				t.Fatalf("step %d: exact run quality = %+v", step, st)
+			}
+			if st.Rounds == 0 && st.Candidates > k*len(p.ELV) {
+				t.Fatalf("step %d: anytime search ran zero rounds", step)
+			}
+			if es := exact.Stats(); es.Unfiltered != st.Unfiltered || es.Progressive {
+				t.Fatalf("step %d: exact stats %+v vs anytime %+v", step, es, st)
+			}
 
-		me, err := exact.SearchMulti(k, []int{h, h + 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ma, err := anyIx.SearchMulti(k, []int{h, h + 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for hh, items := range me {
-			for i := range items {
-				if !sameNeighbors(items[i].Neighbors, ma[hh][i].Neighbors) {
-					t.Fatalf("step %d multi h=%d item %d mismatch", step, hh, i)
+			hs := []int{h, h + 2}
+			me, err := exact.SearchMulti(k, hs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ma, err := anyIx.SearchMulti(k, hs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, hh := range hs {
+				for i, d := range p.ELV {
+					if !sameNeighbors(me[hh][i].Neighbors, ma[hh][i].Neighbors) {
+						t.Fatalf("abandon=%v step %d multi h=%d item %d mismatch", abandon, step, hh, i)
+					}
+					want, err := scan.BruteKNN(c, c[len(c)-d:], p.Rho, k, hh)
+					if err != nil {
+						t.Fatal(err)
+					}
+					neighborsMatch(t, me[hh][i].Neighbors, want)
 				}
 			}
-		}
 
-		eps := re[0].Neighbors[len(re[0].Neighbors)-1].Dist * 1.5
-		ge, err := exact.SearchRange(eps, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ga, err := anyIx.SearchRange(eps, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ge {
-			if !sameNeighbors(ge[i].Neighbors, ga[i].Neighbors) {
-				t.Fatalf("step %d range item %d mismatch", step, i)
+			eps := re[0].Neighbors[len(re[0].Neighbors)-1].Dist * 1.5
+			ge, err := exact.SearchRange(eps, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ga, err := anyIx.SearchRange(eps, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ge {
+				if !sameNeighbors(ge[i].Neighbors, ga[i].Neighbors) {
+					t.Fatalf("abandon=%v step %d range item %d mismatch", abandon, step, i)
+				}
+			}
+
+			obs := c[len(c)-1] + rng.NormFloat64()*0.3
+			if err := exact.Advance(obs); err != nil {
+				t.Fatal(err)
+			}
+			if err := anyIx.Advance(obs); err != nil {
+				t.Fatal(err)
 			}
 		}
-
-		obs := hist[len(hist)-1] + rng.NormFloat64()*0.3
-		if err := exact.Advance(obs); err != nil {
-			t.Fatal(err)
-		}
-		if err := anyIx.Advance(obs); err != nil {
-			t.Fatal(err)
-		}
+		exact.Close()
+		anyIx.Close()
 	}
-	if anyIx.AnytimeConfig().Model.N() == 0 {
-		t.Fatal("learned model observed nothing across 12 anytime searches")
+}
+
+// Exact Search runs the shared engine's one-round schedule; its
+// steady-state allocations are bounded (result and prevNN slices, seed
+// lists and the launch closures), with the distance rows, bound rows
+// and survivor lists recycled through memsys. It measures 182 allocs/op
+// on this input; the guard leaves a little headroom.
+const allocGuardExactSearch = 190
+
+func TestExactSearchAllocs(t *testing.T) {
+	old := runtime.GOMAXPROCS(2) // launch workers (one goroutine each) bind at NewDevice
+	defer runtime.GOMAXPROCS(old)
+	rng := rand.New(rand.NewSource(23))
+	ix, err := New(testDevice(t), noise(rng, 2000), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	const k, h = 16, 1
+	if _, err := ix.Search(k, h); err != nil { // prevNN seeds, pool warm-up
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ix.Search(k, h); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("exact Search: %.0f allocs/op", allocs)
+	if allocs > allocGuardExactSearch {
+		t.Fatalf("exact Search: %.0f allocs/op, guard %d", allocs, allocGuardExactSearch)
 	}
 }
 
@@ -165,7 +213,7 @@ func TestProgressiveStagedDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anyIx.SetAnytime(Anytime{Enabled: true, Model: anytime.NewModel()})
+	anyIx.SetAnytime(Anytime{Enabled: true})
 
 	const k, h = 5, 3
 	re, err := exact.Search(k, h)
@@ -334,47 +382,5 @@ func TestExactDeadlineChunkGranularity(t *testing.T) {
 	full := dev.SimSeconds() - before
 	if aborted >= full/2 {
 		t.Fatalf("aborted search cost %.3gs ≥ half of full %.3gs: deadline not chunk-granular", aborted, full)
-	}
-}
-
-// The learned lower-bound layer trains from verified pairs and, once
-// ready, orders rounds (LBModelHits) without changing results.
-func TestLearnedModelOrdersWithoutChangingResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	hist := randwalk(rng, 500)
-	p := smallParams()
-	exact, err := New(testDevice(t), hist, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anyIx, err := New(testDevice(t), hist, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := anytime.NewModel()
-	anyIx.SetAnytime(Anytime{Enabled: true, Model: model})
-
-	const k, h = 5, 3
-	if _, err := anyIx.Search(k, h); err != nil { // training pass
-		t.Fatal(err)
-	}
-	if !model.Ready() {
-		t.Skipf("model not trained after one pass (n=%d)", model.N())
-	}
-	re, err := exact.Search(k, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := anyIx.Search(k, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if anyIx.Stats().LBModelHits == 0 {
-		t.Fatal("trained model was not consulted (LBModelHits == 0)")
-	}
-	for i := range re {
-		if !sameNeighbors(re[i].Neighbors, ra[i].Neighbors) {
-			t.Fatalf("item %d: model-ordered result differs from exact", i)
-		}
 	}
 }

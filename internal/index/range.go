@@ -49,29 +49,20 @@ func (ix *Index) SearchRangeCtx(ctx context.Context, eps float64, h int) ([]Item
 	n := len(ix.c)
 	tasks := make([]*verifyTask, len(ix.p.ELV))
 	defer releaseTaskDists(tasks)
-	var launch []*verifyTask
 	for i, d := range ix.p.ELV {
 		results[i] = ItemResult{D: d}
 		if len(lbs[i]) == 0 {
 			continue
 		}
 		query := ix.c[n-d:]
-		t := &verifyTask{d: d, query: query, lbs: lbs[i], tau: eps, cutoff: ix.abandonCutoff(eps), rangeMode: true}
-		tasks[i] = t
-		launch = append(launch, t)
+		tasks[i] = &verifyTask{d: d, query: query, lbs: lbs[i], tau: eps, cutoff: ix.abandonCutoff(eps), rangeMode: true}
 	}
-	if err := ix.runVerify(ctx, launch, 0); err != nil {
+	if err := ix.verifyProgressive(ctx, tasks, 0); err != nil {
 		return nil, err
 	}
-	ix.finishQuality(launch)
-	for i := range ix.p.ELV {
-		t := tasks[i]
+	for i, t := range tasks {
 		if t == nil {
 			continue
-		}
-		ix.stats.Unfiltered += t.unfiltered
-		if i < len(ix.stats.PerItem) {
-			ix.stats.PerItem[i].Unfiltered = t.unfiltered
 		}
 		dists := t.dists
 		var sel []gpusim.KSelectResult

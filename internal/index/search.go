@@ -30,9 +30,10 @@ type ItemResult struct {
 	Neighbors []Neighbor
 }
 
-// verifyChunk is the number of candidate positions one verification
-// block processes (two-phase filter/verify per Section 4.4 keeps the
-// block's lanes homogeneous).
+// verifyChunk is the most candidates one verification block verifies
+// (two-phase filter/verify per Section 4.4 keeps the block's lanes
+// homogeneous), and the width of the candidate-position windows the
+// one-round exact schedule cuts its blocks at.
 const verifyChunk = 256
 
 // Search answers the Suffix kNN Search for the current master query:
@@ -45,12 +46,12 @@ func (ix *Index) Search(k, h int) ([]ItemResult, error) {
 }
 
 // SearchCtx is Search with a context. In exact mode an expired deadline
-// surfaces as ctx.Err() at verify-chunk granularity (the fused launch
-// aborts within one in-flight chunk per worker instead of overshooting
-// by the whole verification phase). In anytime mode (SetAnytime) the
-// deadline instead stops the cost-ordered verification rounds and the
-// call returns the current best-so-far kNN sets with quality counters
-// in Stats().
+// surfaces as ctx.Err() at verify-chunk granularity (the one-round
+// launch aborts within one in-flight chunk per worker instead of
+// overshooting by the whole verification phase). In anytime mode
+// (SetAnytime) the deadline instead stops the cost-ordered verification
+// rounds and the call returns the current best-so-far kNN sets with
+// quality counters in Stats().
 func (ix *Index) SearchCtx(ctx context.Context, k, h int) ([]ItemResult, error) {
 	if ix.closed {
 		return nil, errors.New("index: closed")
@@ -70,13 +71,12 @@ func (ix *Index) SearchCtx(ctx context.Context, k, h int) ([]ItemResult, error) 
 	defer releaseBounds(lbs)
 
 	// Filter phase per item query (threshold derivation is cheap and
-	// seeds from the previous step's kNN), then ONE fused verification
-	// launch covering every item query's chunks, then selection.
+	// seeds from the previous step's kNN), then the shared verification
+	// engine over every item query, then selection.
 	n := len(ix.c)
 	results := make([]ItemResult, len(ix.p.ELV))
 	tasks := make([]*verifyTask, len(ix.p.ELV))
 	defer releaseTaskDists(tasks)
-	var launch []*verifyTask
 	for i, d := range ix.p.ELV {
 		results[i] = ItemResult{D: d}
 		if len(lbs[i]) == 0 {
@@ -87,22 +87,15 @@ func (ix *Index) SearchCtx(ctx context.Context, k, h int) ([]ItemResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		t := &verifyTask{d: d, query: query, lbs: lbs[i], tau: tau, cutoff: ix.abandonCutoff(tau), seeds: seeds}
-		tasks[i] = t
-		launch = append(launch, t)
+		tasks[i] = &verifyTask{d: d, query: query, lbs: lbs[i], tau: tau, cutoff: ix.abandonCutoff(tau), seeds: seeds}
 	}
-	if err := ix.runVerify(ctx, launch, k); err != nil {
+	if err := ix.verifyProgressive(ctx, tasks, k); err != nil {
 		return nil, err
 	}
-	ix.finishQuality(launch)
 	for i, d := range ix.p.ELV {
 		t := tasks[i]
 		if t == nil {
 			continue
-		}
-		ix.stats.Unfiltered += t.unfiltered
-		if i < len(ix.stats.PerItem) {
-			ix.stats.PerItem[i].Unfiltered = t.unfiltered
 		}
 		neighbors, err := ix.selectK(t.dists, k)
 		if err != nil {
@@ -250,10 +243,10 @@ func (ix *Index) groupLevelLowerBounds(ctx context.Context, h int) ([][]float64,
 }
 
 // seedCand is one threshold seed: a candidate position whose exact DTW
-// distance to the current query was computed while deriving τ. In
-// anytime mode the seeds prefill the verification output — they are the
-// previous step's kNN set, so progressive search starts from an
-// already-valid best-so-far answer before the first round runs.
+// distance to the current query was computed while deriving τ. The
+// seeds prefill the verification output — during continuous prediction
+// they are the previous step's kNN set, so progressive search starts
+// from an already-valid best-so-far answer before the first round runs.
 type seedCand struct {
 	t    int
 	dist float64
@@ -360,156 +353,6 @@ func releaseTaskDists(tasks []*verifyTask) {
 			memsys.PutFloats(d)
 		}
 	}
-}
-
-// verifyTask describes one item query's slice of the fused
-// verification launch: which candidates to verify (an explicit need
-// mask, or the lb ≤ τ filter), the early-abandon cutoff, and the
-// output distances (+Inf for filtered or abandoned candidates).
-type verifyTask struct {
-	d      int
-	query  []float64
-	lbs    []float64
-	need   []bool // nil: filter by lbs[t] ≤ tau
-	tau    float64
-	cutoff float64 // early-abandon cutoff (+Inf disables)
-
-	// seeds are the threshold candidates with their exact distances;
-	// progressive verification prefills them (see progressive.go).
-	seeds []seedCand
-	// rangeMode marks an ε-range task: quality accounting compares
-	// against the fixed radius tau instead of a running k-th distance.
-	rangeMode bool
-
-	dists      []float64 // out: exact DTW or +Inf
-	unfiltered int       // out: candidates verified
-
-	// Progressive outputs (anytime mode only; see verifyProgressive).
-	kept       int     // candidates surviving the filter (incl. seeds)
-	verified   int     // candidates with exact distances computed
-	flips      int     // verified at-risk candidates that entered the set
-	atRisk     int     // verified candidates that could have entered
-	remaining  int     // unverified candidates still able to change the set
-	minUnverLB float64 // smallest unverified lower bound (+Inf if none)
-	kthDist    float64 // k-th best-so-far distance (+Inf until k found)
-	complete   bool    // every kept candidate verified
-}
-
-// keep reports whether candidate position t must be verified.
-func (t *verifyTask) keep(pos int) bool {
-	if t.need != nil {
-		return t.need[pos]
-	}
-	return t.lbs[pos] <= t.tau
-}
-
-// runVerify dispatches the verification phase: the classic one-launch
-// fused pass in exact mode, or cost-ordered progressive rounds when
-// anytime search is enabled (see progressive.go). k is the selection
-// size the quality tracker compares against (0 for range tasks).
-func (ix *Index) runVerify(ctx context.Context, tasks []*verifyTask, k int) error {
-	if ix.any.Enabled {
-		return ix.verifyProgressive(ctx, tasks, k)
-	}
-	return ix.verifyFused(ctx, tasks)
-}
-
-// verifyFused runs the DTW verification of every item query in ONE
-// device launch: each grid block verifies one fixed-size chunk of one
-// task's candidate positions, so the simulated device pays a single
-// launch overhead per Search instead of one per ELV entry. Each block
-// charges the cost model for the columns its candidates actually
-// processed — early-abandoned lanes stream and compute only what they
-// touched, with the SIMD lock-step wave cost set by the longest lane.
-// The context is checked at the top of every chunk, so an expired
-// deadline aborts the launch within the chunks already in flight
-// instead of overshooting by the whole verification phase.
-func (ix *Index) verifyFused(ctx context.Context, tasks []*verifyTask) error {
-	inf := math.Inf(1)
-	type chunkRef struct {
-		task, lo int
-	}
-	var refs []chunkRef
-	for ti, t := range tasks {
-		n := len(t.lbs)
-		t.dists = memsys.GetFloats(n)
-		for i := range t.dists {
-			t.dists[i] = inf
-		}
-		for lo := 0; lo < n; lo += verifyChunk {
-			refs = append(refs, chunkRef{ti, lo})
-		}
-	}
-	if len(refs) == 0 {
-		return nil
-	}
-	rho := ix.p.Rho
-	wallStart := time.Now()
-	defer func() { ix.stats.VerifyWallSeconds += time.Since(wallStart).Seconds() }()
-	before := ix.dev.SimSeconds()
-	counts := make([]int, len(refs))
-	err := ix.dev.Launch(len(refs), func(blk *gpusim.Block) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ref := refs[blk.ID]
-		t := tasks[ref.task]
-		lo := ref.lo
-		hi := lo + verifyChunk
-		if hi > len(t.lbs) {
-			hi = len(t.lbs)
-		}
-		// Count survivors first so the phases stay separate (Section 4.4).
-		cnt := 0
-		for pos := lo; pos < hi; pos++ {
-			blk.GlobalAccess(1)
-			if t.keep(pos) {
-				cnt++
-			}
-		}
-		counts[blk.ID] = cnt
-		if cnt == 0 {
-			return nil
-		}
-		d := t.d
-		if err := blk.AllocShared(8 * d); err != nil { // query resident
-			return err
-		}
-		if err := blk.AllocShared(8 * dtw.CompressedScratchLen(rho)); err != nil {
-			return err
-		}
-		scratch := dtw.GetCompressedScratch(rho)
-		defer dtw.PutCompressedScratch(scratch)
-		totalCols, maxCols := 0, 0
-		for pos := lo; pos < hi; pos++ {
-			if !t.keep(pos) {
-				continue
-			}
-			dist, cols, err := dtw.DistanceCompressedAbandon(t.query, ix.c[pos:pos+d], rho, t.cutoff, scratch)
-			if err != nil {
-				return err
-			}
-			t.dists[pos] = dist
-			totalCols += cols
-			if cols > maxCols {
-				maxCols = cols
-			}
-		}
-		// Honest abandon accounting: candidates stream only the columns
-		// that were processed, and each lane fills cols·(2ρ+1) band
-		// cells in lock-step waves bounded by the longest lane.
-		blk.GlobalAccess(totalCols)
-		blk.ParallelCompute(cnt, maxCols*(2*rho+1)*6)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	ix.stats.VerifySimSeconds += ix.dev.SimSeconds() - before
-	for i, ref := range refs {
-		tasks[ref.task].unfiltered += counts[i]
-	}
-	return nil
 }
 
 // selectK picks the k nearest verified candidates. With MinSeparation

@@ -1,6 +1,6 @@
 // Package memsys is a size-classed slab pool for the predict hot
 // path, in the spirit of aistore's memsys scatter-gather allocator:
-// float64 and byte slabs are handed out in power-of-two size classes
+// float64, byte and int slabs are handed out in power-of-two size classes
 // and recycled through per-class free lists, so the ~3.3k transient
 // allocations a single Predict used to make (Gram matrices, Cholesky
 // factors, DTW cost rows, kNN buffers, WAL frames) become slab
@@ -65,7 +65,7 @@ type classStats struct {
 
 // ClassStats is a point-in-time snapshot of one size class.
 type ClassStats struct {
-	// Size is the slab length in elements (float64s or bytes).
+	// Size is the slab length in elements (float64s, bytes or ints).
 	Size int
 	// Hits counts Gets served from the free list.
 	Hits uint64
@@ -86,7 +86,11 @@ var floatPool = newPool[float64]()
 // bytePool is the byte side.
 var bytePool = newPool[byte]()
 
-type pool[T float64 | byte] struct {
+// intPool holds position lists (the kNN verify engine's survivor
+// lists).
+var intPool = newPool[int]()
+
+type pool[T float64 | byte | int] struct {
 	free  [nClasses]chan []T
 	stats [nClasses]classStats
 }
@@ -105,7 +109,7 @@ func freeCap(shift int) int {
 	return c
 }
 
-func newPool[T float64 | byte]() *pool[T] {
+func newPool[T float64 | byte | int]() *pool[T] {
 	p := &pool[T]{}
 	for i := range p.free {
 		p.free[i] = make(chan []T, freeCap(minShift+i))
@@ -209,11 +213,20 @@ func GetBytes(n int) []byte { return bytePool.get(n) }
 // PutBytes recycles a slab from GetBytes.
 func PutBytes(b []byte) { bytePool.put(b) }
 
+// GetInts returns a zeroed []int of length n.
+func GetInts(n int) []int { return intPool.get(n) }
+
+// PutInts recycles a slab from GetInts.
+func PutInts(s []int) { intPool.put(s) }
+
 // FloatStats snapshots the float64 classes.
 func FloatStats() []ClassStats { return floatPool.snapshot() }
 
 // ByteStats snapshots the byte classes.
 func ByteStats() []ClassStats { return bytePool.snapshot() }
+
+// IntStats snapshots the int classes.
+func IntStats() []ClassStats { return intPool.snapshot() }
 
 // Totals aggregates a snapshot into one row.
 func Totals(cs []ClassStats) ClassStats {

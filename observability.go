@@ -152,6 +152,7 @@ func registerMemsys(reg *obs.Registry) {
 	}{
 		{"floats", memsys.FloatStats},
 		{"bytes", memsys.ByteStats},
+		{"ints", memsys.IntStats},
 	}
 	for _, p := range pools {
 		snap := p.snap

@@ -42,7 +42,7 @@ run_rung() {
     deadline=$2
     slo=$3
     "$BIN" -addr "127.0.0.1:$PORT" -predictor gp \
-        -anytime -learned-lb \
+        -anytime \
         -predict-deadline "$deadline" -degraded-fallback ar1 \
         -log-level warn &
     SRV_PID=$!

@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smiler/internal/anytime"
 	"smiler/internal/baselines"
 	"smiler/internal/core"
 	"smiler/internal/gpusim"
@@ -252,20 +251,6 @@ type Config struct {
 	// deadlines that fire before any best-so-far set exists (during the
 	// lower-bound pass) and non-deadline failures.
 	Anytime bool
-
-	// LearnedLB enables the learned lower-bound layer: a per-sensor
-	// piecewise-linear model over the index's envelope lower bounds,
-	// trained incrementally from every verified (lower bound, DTW
-	// distance) pair, that predicts each candidate's true distance and
-	// orders the progressive verification rounds by it — most promising
-	// candidates first, so the best-so-far set converges sooner under a
-	// deadline. The model only reorders verification; it never changes
-	// which candidates are verified or with what cutoff, so results stay
-	// bit-identical (this is the exactness ablation knob: flip it and
-	// compare). The model state is serialized through the checkpoint
-	// envelope and survives WAL replay, tiering spill, migration and
-	// replication. Only meaningful together with Anytime.
-	LearnedLB bool
 }
 
 // DefaultConfig returns the paper's default parameters: ρ=8, ω=16,
@@ -348,9 +333,6 @@ type sensorState struct {
 	pipe *core.Pipeline
 	ix   *index.Index
 	dev  *gpusim.Device
-	// lbModel is the sensor's learned lower-bound model (nil unless
-	// Config.LearnedLB); it rides the checkpoint envelope.
-	lbModel *anytime.Model
 	// gone marks a state spilled cold by the tier while a caller held a
 	// stale pointer: set under mu, it tells the caller to retry through
 	// the fault-in path instead of using the closed index.
@@ -513,12 +495,8 @@ func (s *System) addSensorLocked(id string, history []float64) error {
 	if s.cfg.DisableEnsemble {
 		ekv = []int{s.cfg.FixedK}
 	}
-	var lbModel *anytime.Model
-	if s.cfg.LearnedLB {
-		lbModel = anytime.NewModel()
-	}
-	if s.cfg.Anytime || lbModel != nil {
-		ix.SetAnytime(index.Anytime{Enabled: s.cfg.Anytime, Model: lbModel})
+	if s.cfg.Anytime {
+		ix.SetAnytime(index.Anytime{Enabled: true})
 	}
 	pipe, err := core.NewPipeline(ix, core.PipelineConfig{
 		EKV:            ekv,
@@ -537,7 +515,7 @@ func (s *System) addSensorLocked(id string, history []float64) error {
 		ix.Close()
 		return fmt.Errorf("smiler: sensor %q: %w", id, err)
 	}
-	s.sensors[id] = &sensorState{norm: norm, pipe: pipe, ix: ix, dev: dev, lbModel: lbModel}
+	s.sensors[id] = &sensorState{norm: norm, pipe: pipe, ix: ix, dev: dev}
 	return nil
 }
 
